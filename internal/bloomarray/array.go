@@ -9,11 +9,18 @@
 //     per-MDS aging filters.
 //   - IDBFA (idbfa.go): the counting-filter array each MDS keeps to locate
 //     which group member currently stores which Bloom-filter replica.
+//
+// All three share one representation (slots.go): an immutable slice of
+// (MDS id, value) slots sorted by ID, which writers replace rather than
+// modify. Scans therefore yield hits in ascending ID order without sorting,
+// point lookups are binary searches, and the two lock-free arrays publish
+// each new slice through an atomic pointer.
 package bloomarray
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,85 +76,54 @@ func (r Result) Miss() bool { return len(r.Hits) == 0 }
 // same escalation as a miss (the array cannot disambiguate).
 func (r Result) Multiple() bool { return len(r.Hits) > 1 }
 
-// entry pairs a replica with the ID of the MDS whose file set it summarizes.
-type entry struct {
-	id int
-	f  *bloom.Filter
-}
-
 // Array is a collection of Bloom-filter replicas keyed by the ID of the MDS
 // whose file set each filter summarizes. It is the representation of the L2
 // segment array and, in the HBA baseline, of the full global replica array.
 //
-// Storage is an immutable slice sorted by MDS ID, published through an
-// atomic pointer (copy-on-write): queries load the current snapshot with no
-// lock acquisition and scan it — a cache-friendly linear pass that yields
-// hits already in ascending order (no per-query sort, no map iteration),
-// which is what lets QueryDigest run allocation- and lock-free. Writers
-// (replica refreshes from coalescing shippers, reconfiguration moves)
-// serialize on an internal mutex, build a new slice, and swap it in; a
-// reader that loaded the previous snapshot finishes against it, which is
-// indistinguishable from the reader having run just before the write.
+// Storage is the package's sorted slot slice, published through an atomic
+// pointer (copy-on-write): queries load the current snapshot with no lock
+// acquisition and scan it — a cache-friendly linear pass that yields hits
+// already in ascending order (no per-query sort, no map iteration), which is
+// what lets QueryDigest run allocation- and lock-free. Writers (replica
+// refreshes from coalescing shippers, reconfiguration moves) serialize on an
+// internal mutex, build a new slice, and swap it in; a reader that loaded the
+// previous snapshot finishes against it, which is indistinguishable from the
+// reader having run just before the write.
 //
 // Filters handed to Put are stored by reference and must not be mutated
 // afterwards; refreshes replace the pointer wholesale. That immutability is
 // what makes the published snapshot safe to probe without synchronization.
 type Array struct {
-	mu      sync.Mutex // serializes writers; readers never take it
-	entries atomic.Pointer[[]entry]
+	mu    sync.Mutex // serializes writers; readers never take it
+	slots atomic.Pointer[[]slot[*bloom.Filter]]
 }
 
 // NewArray returns an empty array.
 func NewArray() *Array {
 	a := &Array{}
-	a.entries.Store(&[]entry{})
+	a.slots.Store(&[]slot[*bloom.Filter]{})
 	return a
 }
 
-// snapshot returns the current published entry slice. The slice is immutable;
+// snapshot returns the current published slot slice. The slice is immutable;
 // callers may scan it freely but must not modify it.
-func (a *Array) snapshot() []entry {
-	return *a.entries.Load()
-}
-
-// search returns the position of mdsID in the sorted entry slice and whether
-// it is present.
-func search(entries []entry, mdsID int) (int, bool) {
-	i := sort.Search(len(entries), func(i int) bool {
-		return entries[i].id >= mdsID
-	})
-	return i, i < len(entries) && entries[i].id == mdsID
-}
-
-// insertEntry returns a fresh sorted slice equal to entries with the replica
-// for mdsID installed or replaced.
-func insertEntry(entries []entry, mdsID int, f *bloom.Filter) []entry {
-	i, ok := search(entries, mdsID)
-	if ok {
-		out := make([]entry, len(entries))
-		copy(out, entries)
-		out[i].f = f
-		return out
-	}
-	out := make([]entry, 0, len(entries)+1)
-	out = append(out, entries[:i]...)
-	out = append(out, entry{id: mdsID, f: f})
-	return append(out, entries[i:]...)
+func (a *Array) snapshot() []slot[*bloom.Filter] {
+	return *a.slots.Load()
 }
 
 // Put installs or replaces the replica for the given MDS ID.
 func (a *Array) Put(mdsID int, f *bloom.Filter) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	next := insertEntry(a.snapshot(), mdsID, f)
-	a.entries.Store(&next)
+	next := with(a.snapshot(), mdsID, f)
+	a.slots.Store(&next)
 }
 
 // Get returns the replica for mdsID, or nil if absent.
 func (a *Array) Get(mdsID int) *bloom.Filter {
-	entries := a.snapshot()
-	if i, ok := search(entries, mdsID); ok {
-		return entries[i].f
+	s := a.snapshot()
+	if i, ok := find(s, mdsID); ok {
+		return s[i].v
 	}
 	return nil
 }
@@ -156,22 +132,16 @@ func (a *Array) Get(mdsID int) *bloom.Filter {
 func (a *Array) Remove(mdsID int) *bloom.Filter {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	entries := a.snapshot()
-	i, ok := search(entries, mdsID)
-	if !ok {
-		return nil
+	next, f, ok := without(a.snapshot(), mdsID)
+	if ok {
+		a.slots.Store(&next)
 	}
-	f := entries[i].f
-	next := make([]entry, 0, len(entries)-1)
-	next = append(next, entries[:i]...)
-	next = append(next, entries[i+1:]...)
-	a.entries.Store(&next)
 	return f
 }
 
 // Has reports whether the array holds a replica for mdsID.
 func (a *Array) Has(mdsID int) bool {
-	_, ok := search(a.snapshot(), mdsID)
+	_, ok := find(a.snapshot(), mdsID)
 	return ok
 }
 
@@ -182,12 +152,7 @@ func (a *Array) Len() int {
 
 // IDs returns the MDS IDs of all held replicas in ascending order.
 func (a *Array) IDs() []int {
-	entries := a.snapshot()
-	ids := make([]int, len(entries))
-	for i, e := range entries {
-		ids[i] = e.id
-	}
-	return ids
+	return ids(a.snapshot())
 }
 
 // Query checks key against every filter and returns all positive responders.
@@ -203,7 +168,7 @@ func (a *Array) QueryString(key string) Result {
 }
 
 // QueryDigest checks a pre-hashed key against every filter: one atomic
-// snapshot load, then a scan over the sorted entries at k word loads per
+// snapshot load, then a scan over the sorted slots at k word loads per
 // filter (one cache line per filter for blocked layouts), hits appended into
 // buf (which may be nil). Hits come out in ascending ID order by
 // construction. Passing a reused buffer makes the query allocation-free; no
@@ -211,11 +176,11 @@ func (a *Array) QueryString(key string) Result {
 //
 //ghbavet:hotpath
 func (a *Array) QueryDigest(d *bloom.Digest, buf []int) Result {
-	entries := a.snapshot()
+	s := a.snapshot()
 	hits := buf[:0]
-	for i := range entries {
-		if entries[i].f.ContainsDigest(d) {
-			hits = append(hits, entries[i].id)
+	for i := range s {
+		if s[i].v.ContainsDigest(d) {
+			hits = append(hits, s[i].id)
 		}
 	}
 	return Result{Hits: hits}
@@ -226,46 +191,42 @@ func (a *Array) QueryDigest(d *bloom.Digest, buf []int) Result {
 func (a *Array) SizeBytes() uint64 {
 	var total uint64
 	for _, e := range a.snapshot() {
-		total += e.f.SizeBytes()
+		total += e.v.SizeBytes()
 	}
 	return total
 }
 
 // Clone returns a deep copy of the array (each filter is cloned).
 func (a *Array) Clone() *Array {
-	entries := a.snapshot()
-	next := make([]entry, len(entries))
-	for i, e := range entries {
-		next[i] = entry{id: e.id, f: e.f.Clone()}
+	next := slices.Clone(a.snapshot())
+	for i := range next {
+		next[i].v = next[i].v.Clone()
 	}
 	c := &Array{}
-	c.entries.Store(&next)
+	c.slots.Store(&next)
 	return c
 }
 
-// PopRandom removes and returns count replicas in deterministic ascending-ID
-// order, used when a group member offloads replicas to a newly joined MDS.
-// The paper offloads "randomly"; a deterministic order preserves the same
-// balance property while keeping simulations reproducible. It returns fewer
-// than count entries when the array is smaller.
-func (a *Array) PopRandom(count int) map[int]*bloom.Filter {
+// PopRandom removes count replicas and yields them in deterministic
+// ascending-ID order, used when a group member offloads replicas to a newly
+// joined MDS. The paper offloads "randomly"; a deterministic order preserves
+// the same balance property while keeping simulations reproducible. It
+// yields fewer than count entries when the array is smaller.
+func (a *Array) PopRandom(count int) iter.Seq2[int, *bloom.Filter] {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	entries := a.snapshot()
-	if count < 0 {
-		count = 0
+	s := a.snapshot()
+	count = min(max(count, 0), len(s))
+	next := s[count:] // published slices are immutable, so the tail can be shared
+	a.slots.Store(&next)
+	popped := s[:count]
+	return func(yield func(int, *bloom.Filter) bool) {
+		for _, e := range popped {
+			if !yield(e.id, e.v) {
+				return
+			}
+		}
 	}
-	if count > len(entries) {
-		count = len(entries)
-	}
-	out := make(map[int]*bloom.Filter, count)
-	for _, e := range entries[:count] {
-		out[e.id] = e.f
-	}
-	next := make([]entry, len(entries)-count)
-	copy(next, entries[count:])
-	a.entries.Store(&next)
-	return out
 }
 
 // MergeFrom moves every replica of src into a, failing on duplicate IDs so
@@ -279,16 +240,13 @@ func (a *Array) MergeFrom(src *Array) error {
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	merged := a.snapshot()
-	srcEntries := src.snapshot()
-	for _, e := range srcEntries {
-		if _, ok := search(merged, e.id); ok {
+	for _, e := range src.snapshot() {
+		if _, ok := find(merged, e.id); ok {
 			return fmt.Errorf("bloomarray: duplicate replica for MDS %d during merge", e.id)
 		}
+		merged = with(merged, e.id, e.v)
 	}
-	for _, e := range srcEntries {
-		merged = insertEntry(merged, e.id, e.f)
-	}
-	a.entries.Store(&merged)
-	src.entries.Store(&[]entry{})
+	a.slots.Store(&merged)
+	src.slots.Store(&[]slot[*bloom.Filter]{})
 	return nil
 }

@@ -1,6 +1,7 @@
 package bloomarray
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 
@@ -158,25 +159,34 @@ func TestArrayCloneDeep(t *testing.T) {
 
 func TestArrayPopRandom(t *testing.T) {
 	a := NewArray()
-	for i := 0; i < 10; i++ {
+	for _, i := range []int{7, 3, 9, 0, 5, 1, 8, 2, 6, 4} {
 		a.Put(i, filterWith(t, strconv.Itoa(i)))
 	}
-	popped := a.PopRandom(4)
-	if len(popped) != 4 {
-		t.Fatalf("popped %d replicas, want 4", len(popped))
+	var popped []int
+	for id, f := range a.PopRandom(4) {
+		if !f.ContainsString(strconv.Itoa(id)) {
+			t.Errorf("popped replica %d paired with the wrong filter", id)
+		}
+		popped = append(popped, id)
+	}
+	if !slices.Equal(popped, []int{0, 1, 2, 3}) {
+		t.Fatalf("popped %v, want the four lowest IDs in ascending order", popped)
 	}
 	if a.Len() != 6 {
 		t.Errorf("array left with %d replicas, want 6", a.Len())
 	}
-	for id := range popped {
+	for _, id := range popped {
 		if a.Has(id) {
 			t.Errorf("popped replica %d still present", id)
 		}
 	}
 	// Popping more than available returns what exists.
-	rest := a.PopRandom(100)
-	if len(rest) != 6 || a.Len() != 0 {
-		t.Errorf("PopRandom(100) returned %d, array has %d", len(rest), a.Len())
+	var rest []int
+	for id := range a.PopRandom(100) {
+		rest = append(rest, id)
+	}
+	if !slices.Equal(rest, []int{4, 5, 6, 7, 8, 9}) || a.Len() != 0 {
+		t.Errorf("PopRandom(100) returned %v, array has %d", rest, a.Len())
 	}
 }
 

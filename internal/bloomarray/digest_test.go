@@ -2,6 +2,7 @@ package bloomarray
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -137,63 +138,195 @@ func TestIDBFALocateDigestEquivalence(t *testing.T) {
 	}
 }
 
-// TestArrayQueryDigestZeroAlloc pins the allocation contract of the segment
-// array probe: with a reused buffer, a 16-replica query allocates nothing.
-func TestArrayQueryDigestZeroAlloc(t *testing.T) {
-	a := NewArray()
-	for r := 0; r < 16; r++ {
-		f, err := bloom.NewForCapacity(1_024, 16)
-		if err != nil {
-			t.Fatal(err)
+// slotFixture is one array type after a random interleaving of its
+// structural writes, paired with a brute-force reference: for every live
+// ID, a predicate probing filters kept independently of the array.
+type slotFixture struct {
+	query func(d *bloom.Digest, buf []int) []int // the array's probe
+	ids   []int                                  // the array's IDs
+	ref   map[int]func(d *bloom.Digest) bool
+	keys  []string // probe keys: hits, multi-hits and misses
+}
+
+// want is the brute-force answer: every live ID, in ascending order, whose
+// reference predicate accepts d.
+func (f slotFixture) want(d *bloom.Digest) []int {
+	var hits []int
+	for _, id := range slices.Sorted(maps.Keys(f.ref)) {
+		if f.ref[id](d) {
+			hits = append(hits, id)
 		}
-		for j := 0; j < 100; j++ {
-			f.AddString(fmt.Sprintf("/za/r%d/f%d", r, j))
-		}
-		a.Put(r, f)
 	}
-	d := bloom.NewDigestString("/za/r7/f42")
-	buf := make([]int, 0, 16)
-	if allocs := testing.AllocsPerRun(1_000, func() {
-		r := a.QueryDigest(&d, buf)
-		buf = r.Hits
-	}); allocs != 0 {
-		t.Errorf("QueryDigest allocates %.1f objects/op, want 0", allocs)
+	return hits
+}
+
+// slotCases builds each slot-slice array — the L2 Array, the L1 LRUArray
+// and the IDBFA — through its own structural writes.
+var slotCases = []struct {
+	name  string
+	build func(t *testing.T, rng *rand.Rand) slotFixture
+}{
+	{"array", func(t *testing.T, rng *rand.Rand) slotFixture {
+		// Interleaved Put/Remove over 64 IDs.
+		a := NewArray()
+		live := map[int]*bloom.Filter{}
+		for i := 0; i < 500; i++ {
+			id := rng.Intn(64)
+			if live[id] != nil && rng.Intn(2) == 0 {
+				if a.Remove(id) != live[id] {
+					t.Fatalf("Remove(%d) did not return the live replica", id)
+				}
+				delete(live, id)
+				continue
+			}
+			f, err := bloom.NewForCapacity(64, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.AddString("/slice/" + strconv.Itoa(id))
+			a.Put(id, f)
+			live[id] = f
+		}
+		fx := slotFixture{ids: a.IDs(), ref: map[int]func(*bloom.Digest) bool{}}
+		fx.query = func(d *bloom.Digest, buf []int) []int { return a.QueryDigest(d, buf).Hits }
+		for id, f := range live {
+			fx.ref[id] = f.ContainsDigest
+		}
+		for id := 0; id < 64; id++ {
+			fx.keys = append(fx.keys, "/slice/"+strconv.Itoa(id))
+		}
+		return fx
+	}},
+	{"l1", func(t *testing.T, rng *rand.Rand) slotFixture {
+		// 30 homes, interleaved ObserveDigest and Forget. Generations hold
+		// 16 keys, so homes rotate; files are shared across homes, so
+		// multi-hits occur. The reference is one single-home array per
+		// home, rebuilt from scratch after a Forget.
+		const capacity = 16
+		newLRU := func() *LRUArray {
+			l, err := NewLRUArray(capacity, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+		l, shadow := newLRU(), map[int]*LRUArray{}
+		for i := 0; i < 3000; i++ {
+			home := rng.Intn(30)
+			if rng.Intn(25) == 0 {
+				l.Forget(home)
+				delete(shadow, home)
+				continue
+			}
+			if shadow[home] == nil {
+				shadow[home] = newLRU()
+			}
+			d := bloom.NewDigestString("/l1/f" + strconv.Itoa(rng.Intn(200)))
+			l.ObserveDigest(&d, home)
+			shadow[home].ObserveDigest(&d, home)
+		}
+		rotated := 0
+		for _, e := range l.snapshot() {
+			if e.v.aged != nil {
+				rotated++
+			}
+		}
+		if rotated == 0 {
+			t.Fatal("no home rotated its generations")
+		}
+		fx := slotFixture{ids: ids(l.snapshot()), ref: map[int]func(*bloom.Digest) bool{}}
+		fx.query = func(d *bloom.Digest, buf []int) []int { return l.QueryDigest(d, buf).Hits }
+		for home, one := range shadow {
+			fx.ref[home] = func(d *bloom.Digest) bool { return !one.QueryDigest(d, nil).Miss() }
+		}
+		for f := 0; f < 220; f++ {
+			fx.keys = append(fx.keys, "/l1/f"+strconv.Itoa(f))
+		}
+		return fx
+	}},
+	{"idbfa", func(t *testing.T, rng *rand.Rand) slotFixture {
+		// Interleaved AddMember/RemoveMember/Grant over 20 members and 50
+		// origins, mirrored onto standalone counting filters.
+		a, live := NewDefaultIDBFA(), map[int]*bloom.CountingFilter{}
+		for i := 0; i < 600; i++ {
+			m := rng.Intn(20)
+			switch {
+			case live[m] == nil:
+				if err := a.AddMember(m); err != nil {
+					t.Fatal(err)
+				}
+				cf, err := bloom.NewCounting(DefaultIDBFABits, DefaultIDBFAHashes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[m] = cf
+			case rng.Intn(6) == 0:
+				a.RemoveMember(m)
+				delete(live, m)
+			default:
+				o := rng.Intn(50)
+				if err := a.Grant(m, o); err != nil {
+					t.Fatal(err)
+				}
+				live[m].Add(originKey(o))
+			}
+		}
+		fx := slotFixture{ids: a.Members(), ref: map[int]func(*bloom.Digest) bool{}}
+		fx.query = a.LocateDigest
+		for m, cf := range live {
+			fx.ref[m] = cf.ContainsDigest
+		}
+		for o := 0; o < 60; o++ {
+			fx.keys = append(fx.keys, strconv.Itoa(o))
+		}
+		return fx
+	}},
+}
+
+// TestArrayQueryDigestZeroAlloc pins the allocation contract of every
+// slot-slice probe: with a reused buffer, a query allocates nothing.
+func TestArrayQueryDigestZeroAlloc(t *testing.T) {
+	for _, c := range slotCases {
+		t.Run(c.name, func(t *testing.T) {
+			fx := c.build(t, rand.New(rand.NewSource(16)))
+			buf := make([]int, 0, 64)
+			for _, k := range fx.keys {
+				d := bloom.NewDigestString(k)
+				if allocs := testing.AllocsPerRun(100, func() {
+					buf = fx.query(&d, buf)
+				}); allocs != 0 {
+					t.Fatalf("query(%s) allocates %.1f objects/op, want 0", k, allocs)
+				}
+			}
+		})
 	}
 }
 
 // TestArraySliceStorage exercises the sorted-slice mutations around the
-// query path: interleaved Put/Remove keeps IDs ordered and queries exact.
+// query path: after interleaved structural writes, IDs stay ordered and
+// every query is exactly the brute-force answer, hits ascending.
 func TestArraySliceStorage(t *testing.T) {
-	a := NewArray()
-	live := map[int]bool{}
-	rng := rand.New(rand.NewSource(15))
-	for i := 0; i < 500; i++ {
-		id := rng.Intn(64)
-		if live[id] && rng.Intn(2) == 0 {
-			if a.Remove(id) == nil {
-				t.Fatalf("Remove(%d) of live replica returned nil", id)
+	for _, c := range slotCases {
+		t.Run(c.name, func(t *testing.T) {
+			fx := c.build(t, rand.New(rand.NewSource(15)))
+			if want := slices.Sorted(maps.Keys(fx.ref)); !slices.Equal(fx.ids, want) {
+				t.Fatalf("IDs = %v, want %v", fx.ids, want)
 			}
-			delete(live, id)
-			continue
-		}
-		f, err := bloom.NewForCapacity(64, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.AddString("/slice/" + strconv.Itoa(id))
-		a.Put(id, f)
-		live[id] = true
-	}
-	if !slices.IsSorted(a.IDs()) {
-		t.Fatalf("IDs not sorted: %v", a.IDs())
-	}
-	if a.Len() != len(live) {
-		t.Fatalf("Len=%d, want %d", a.Len(), len(live))
-	}
-	for id := range live {
-		r := a.QueryString("/slice/" + strconv.Itoa(id))
-		if !slices.Contains(r.Hits, id) {
-			t.Errorf("replica %d missing from its own query: %v", id, r.Hits)
-		}
+			buf, hits := make([]int, 0, 4), 0
+			for _, k := range fx.keys {
+				d := bloom.NewDigestString(k)
+				buf = fx.query(&d, buf)
+				if want := fx.want(&d); !slices.Equal(buf, want) {
+					t.Fatalf("query(%s) = %v, brute force %v", k, buf, want)
+				}
+				if !slices.IsSorted(buf) {
+					t.Fatalf("query(%s) hits not ascending: %v", k, buf)
+				}
+				hits += len(buf)
+			}
+			if hits == 0 {
+				t.Fatal("no probe key hit: the fixture is vacuous")
+			}
+		})
 	}
 }

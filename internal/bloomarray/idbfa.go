@@ -17,10 +17,13 @@ import (
 //
 // The array is tiny — the paper notes under 0.1 KB per MDS at N=100 — so it
 // is always memory resident and cheap to multicast after changes.
+//
+// Members are a sorted slot slice like the other arrays', but the owner
+// serializes access, so a membership change just assigns the new slice.
 type IDBFA struct {
 	perMemberBits uint64
 	hashes        uint32
-	members       map[int]*bloom.CountingFilter
+	members       []slot[*bloom.CountingFilter]
 }
 
 // DefaultIDBFABits is the size of one member's ID filter. Origin IDs are a
@@ -40,7 +43,6 @@ func NewIDBFA(perMemberBits uint64, hashes uint32) (*IDBFA, error) {
 	return &IDBFA{
 		perMemberBits: perMemberBits,
 		hashes:        hashes,
-		members:       make(map[int]*bloom.CountingFilter),
 	}, nil
 }
 
@@ -61,55 +63,50 @@ func originKey(originID int) []byte {
 // AddMember registers a group member with an empty ID filter. Adding an
 // existing member is an error: it would silently discard grant history.
 func (a *IDBFA) AddMember(memberID int) error {
-	if _, ok := a.members[memberID]; ok {
+	if a.HasMember(memberID) {
 		return fmt.Errorf("bloomarray: member %d already in IDBFA", memberID)
 	}
 	cf, err := bloom.NewCounting(a.perMemberBits, a.hashes)
 	if err != nil {
 		return fmt.Errorf("bloomarray: creating ID filter: %w", err)
 	}
-	a.members[memberID] = cf
+	a.members = with(a.members, memberID, cf)
 	return nil
 }
 
 // RemoveMember drops a member and its filter, used on MDS departure.
 func (a *IDBFA) RemoveMember(memberID int) {
-	delete(a.members, memberID)
+	a.members, _, _ = without(a.members, memberID)
 }
 
 // HasMember reports whether the member is registered.
 func (a *IDBFA) HasMember(memberID int) bool {
-	_, ok := a.members[memberID]
+	_, ok := find(a.members, memberID)
 	return ok
 }
 
 // Members returns all registered member IDs in ascending order.
 func (a *IDBFA) Members() []int {
-	ids := make([]int, 0, len(a.members))
-	for id := range a.members {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
+	return ids(a.members)
 }
 
 // Grant records that member now stores the replica originating at origin.
 func (a *IDBFA) Grant(memberID, originID int) error {
-	cf, ok := a.members[memberID]
+	i, ok := find(a.members, memberID)
 	if !ok {
 		return fmt.Errorf("bloomarray: grant to unknown member %d", memberID)
 	}
-	cf.Add(originKey(originID))
+	a.members[i].v.Add(originKey(originID))
 	return nil
 }
 
 // Revoke records that member no longer stores origin's replica.
 func (a *IDBFA) Revoke(memberID, originID int) error {
-	cf, ok := a.members[memberID]
+	i, ok := find(a.members, memberID)
 	if !ok {
 		return fmt.Errorf("bloomarray: revoke from unknown member %d", memberID)
 	}
-	cf.Remove(originKey(originID))
+	a.members[i].v.Remove(originKey(originID))
 	return nil
 }
 
@@ -132,20 +129,19 @@ const originKeyBuf = 24
 // loads. With a reused buffer the probe does not allocate.
 func (a *IDBFA) LocateDigest(d *bloom.Digest, buf []int) []int {
 	hits := buf[:0]
-	for id, cf := range a.members {
-		if cf.ContainsDigest(d) {
-			hits = append(hits, id)
+	for i := range a.members {
+		if a.members[i].v.ContainsDigest(d) {
+			hits = append(hits, a.members[i].id)
 		}
 	}
-	slices.Sort(hits)
 	return hits
 }
 
 // SizeBytes returns the total footprint of all member filters.
 func (a *IDBFA) SizeBytes() uint64 {
 	var total uint64
-	for _, cf := range a.members {
-		total += cf.SizeBytes()
+	for _, e := range a.members {
+		total += e.v.SizeBytes()
 	}
 	return total
 }
@@ -156,10 +152,10 @@ func (a *IDBFA) Clone() *IDBFA {
 	c := &IDBFA{
 		perMemberBits: a.perMemberBits,
 		hashes:        a.hashes,
-		members:       make(map[int]*bloom.CountingFilter, len(a.members)),
+		members:       slices.Clone(a.members),
 	}
-	for id, cf := range a.members {
-		c.members[id] = cf.Clone()
+	for i := range c.members {
+		c.members[i].v = c.members[i].v.Clone()
 	}
 	return c
 }

@@ -2,7 +2,6 @@ package bloomarray
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,25 +19,25 @@ import (
 // data" set the paper wants L1 to capture.
 //
 // Concurrency follows the epoch-snapshot idiom of the rest of the read
-// path: the entry map is immutable and published through an atomic pointer.
-// Queries (and the Observe fast path for already-recorded hot keys) load the
-// snapshot and probe filters with atomic word reads — no lock, ever.
-// Structural writes — a new MDS entry, a generation rotation, Forget, Reset
-// — serialize on an internal mutex, copy the map, and swap in the new
-// version; an agingFilter value is never modified after publication, only
-// replaced. Non-structural inserts (AddDigest into a published active
-// filter) also run under the mutex and are safe against concurrent readers
-// because filter bit-sets synchronize word-wise.
+// path: one generation pair per MDS in a sorted slot slice published
+// through an atomic pointer. Queries (and the Observe fast path for
+// already-recorded hot keys) load the snapshot and probe filters with
+// atomic word reads — no lock, ever. Structural writes — a new MDS entry, a
+// generation rotation, Forget, Reset — serialize on an internal mutex and
+// swap in a new slice; a published pair is never modified, only replaced.
+// Non-structural inserts (AddDigest into a published active filter) also
+// run under the mutex and are safe against concurrent readers because
+// filter bit-sets synchronize word-wise.
 type LRUArray struct {
 	mu          sync.Mutex // serializes writers; readers never take it
 	capacity    uint64     // insertions per generation, per MDS
 	bitsPerItem float64    // filter ratio for each generation
 	layout      bloom.Layout
-	entries     atomic.Pointer[map[int]*agingFilter]
+	slots       atomic.Pointer[[]slot[agingFilter]]
 }
 
-// agingFilter is a two-generation filter pair for one MDS. Published values
-// are immutable: rotation and entry creation replace the whole struct.
+// agingFilter is a two-generation filter pair for one MDS. Published pairs
+// are immutable: rotation and entry creation replace the whole slot.
 type agingFilter struct {
 	active *bloom.Filter
 	aged   *bloom.Filter
@@ -63,14 +62,14 @@ func NewLRUArrayLayout(capacity uint64, bitsPerItem float64, layout bloom.Layout
 		bitsPerItem: bitsPerItem,
 		layout:      layout,
 	}
-	l.entries.Store(&map[int]*agingFilter{})
+	l.slots.Store(&[]slot[agingFilter]{})
 	return l, nil
 }
 
-// snapshot returns the current published entry map. The map is immutable;
-// callers may range over it freely but must not modify it.
-func (l *LRUArray) snapshot() map[int]*agingFilter {
-	return *l.entries.Load()
+// snapshot returns the current published slot slice. The slice is
+// immutable; callers may scan it freely but must not modify it.
+func (l *LRUArray) snapshot() []slot[agingFilter] {
+	return *l.slots.Load()
 }
 
 func (l *LRUArray) newGeneration() *bloom.Filter {
@@ -81,18 +80,6 @@ func (l *LRUArray) newGeneration() *bloom.Filter {
 		panic(fmt.Sprintf("bloomarray: invalid LRU generation geometry: %v", err))
 	}
 	return f
-}
-
-// publishLocked copies the current map, applies mutate to the copy, and
-// swaps it in. Requires l.mu.
-func (l *LRUArray) publishLocked(mutate func(map[int]*agingFilter)) {
-	cur := l.snapshot()
-	next := make(map[int]*agingFilter, len(cur)+1)
-	for id, e := range cur {
-		next[id] = e
-	}
-	mutate(next)
-	l.entries.Store(&next)
 }
 
 // Observe records that key was confirmed to live at homeMDS, rotating that
@@ -122,33 +109,32 @@ func (l *LRUArray) ObserveString(key string, homeMDS int) {
 // repetitions, which is the window the paper wants L1 to capture. Only new
 // keys (and rotations) take the write lock.
 func (l *LRUArray) ObserveDigest(d *bloom.Digest, homeMDS int) {
-	if e := l.snapshot()[homeMDS]; e != nil &&
-		e.active.Count() < l.capacity && e.active.ContainsDigest(d) {
+	s := l.snapshot()
+	if i, ok := find(s, homeMDS); ok &&
+		s[i].v.active.Count() < l.capacity && s[i].v.active.ContainsDigest(d) {
 		return
 	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := l.snapshot()[homeMDS]
-	switch {
-	case e == nil:
-		// First observation for this MDS: publish a fresh entry with the
-		// key already inserted so no reader sees an empty active filter
-		// that is about to change shape.
-		fresh := &agingFilter{active: l.newGeneration()}
-		fresh.active.AddDigest(d)
-		l.publishLocked(func(m map[int]*agingFilter) { m[homeMDS] = fresh })
-	case e.active.Count() >= l.capacity:
-		// Rotate by replacement: the published agingFilter stays intact for
-		// in-flight readers; the new version demotes the full generation.
-		rotated := &agingFilter{active: l.newGeneration(), aged: e.active}
-		rotated.active.AddDigest(d)
-		l.publishLocked(func(m map[int]*agingFilter) { m[homeMDS] = rotated })
-	default:
+	s = l.snapshot()
+	i, ok := find(s, homeMDS)
+	if ok && s[i].v.active.Count() < l.capacity {
 		// In-place insert into the published active generation: word-wise
 		// atomic, safe against lock-free probes.
-		e.active.AddDigest(d)
+		s[i].v.active.AddDigest(d)
+		return
 	}
+	// A first observation or a rotation publishes a new pair with the key
+	// already inserted, so no reader sees an empty active filter about to
+	// change shape; the replaced pair stays intact for in-flight readers.
+	next := agingFilter{active: l.newGeneration()}
+	if ok {
+		next.aged = s[i].v.active
+	}
+	next.active.AddDigest(d)
+	published := with(s, homeMDS, next)
+	l.slots.Store(&published)
 }
 
 // Query returns every MDS whose recent-file window may contain key, with the
@@ -172,13 +158,13 @@ func (l *LRUArray) QueryString(key string) Result {
 //
 //ghbavet:hotpath
 func (l *LRUArray) QueryDigest(d *bloom.Digest, buf []int) Result {
+	s := l.snapshot()
 	hits := buf[:0]
-	for id, e := range l.snapshot() {
-		if e.active.ContainsDigest(d) || (e.aged != nil && e.aged.ContainsDigest(d)) {
-			hits = append(hits, id)
+	for i := range s {
+		if s[i].v.active.ContainsDigest(d) || (s[i].v.aged != nil && s[i].v.aged.ContainsDigest(d)) {
+			hits = append(hits, s[i].id)
 		}
 	}
-	slices.Sort(hits)
 	return Result{Hits: hits}
 }
 
@@ -187,14 +173,16 @@ func (l *LRUArray) QueryDigest(d *bloom.Digest, buf []int) Result {
 func (l *LRUArray) Forget(mdsID int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.publishLocked(func(m map[int]*agingFilter) { delete(m, mdsID) })
+	if next, _, ok := without(l.snapshot(), mdsID); ok {
+		l.slots.Store(&next)
+	}
 }
 
 // Reset clears every entry.
 func (l *LRUArray) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries.Store(&map[int]*agingFilter{})
+	l.slots.Store(&[]slot[agingFilter]{})
 }
 
 // Entries returns the number of MDSs currently tracked.
@@ -206,9 +194,9 @@ func (l *LRUArray) Entries() int {
 func (l *LRUArray) SizeBytes() uint64 {
 	var total uint64
 	for _, e := range l.snapshot() {
-		total += e.active.SizeBytes()
-		if e.aged != nil {
-			total += e.aged.SizeBytes()
+		total += e.v.active.SizeBytes()
+		if e.v.aged != nil {
+			total += e.v.aged.SizeBytes()
 		}
 	}
 	return total

@@ -285,6 +285,32 @@ func TestLeaveLastMember(t *testing.T) {
 	}
 }
 
+// TestLeavePlacementDeterministic pins that a departing member's replicas
+// land on the same survivors in every identical run: Leave migrates them in
+// ascending origin order, so the lightest-member choice for each origin
+// cannot follow Go's randomized map order.
+func TestLeavePlacementDeterministic(t *testing.T) {
+	placements := map[string]int{}
+	for run := 0; run < 30; run++ {
+		g := buildGroup(t, 1, 1, 2, 3, 4)
+		install(t, g, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)
+		if _, err := g.Leave(1); err != nil {
+			t.Fatal(err)
+		}
+		var placement []byte
+		for _, o := range g.ReplicaOrigins() {
+			placement = strconv.AppendInt(placement, int64(o), 10)
+			placement = append(placement, '@')
+			placement = strconv.AppendInt(placement, int64(g.HolderOf(o)), 10)
+			placement = append(placement, ' ')
+		}
+		placements[string(placement)]++
+	}
+	if len(placements) != 1 {
+		t.Errorf("30 identical Leave runs gave %d distinct placements: %v", len(placements), placements)
+	}
+}
+
 func TestRebalanceEvensLoad(t *testing.T) {
 	g := buildGroup(t, 1, 0, 1, 2)
 	// Pile 9 replicas onto member 0 directly.
