@@ -21,11 +21,10 @@
 //	ghbabench -replay -backend tcp -ops 20000 -n 12   # same workload, real sockets
 //
 // -wire measures the wire protocol itself: the same mixed workload replays
-// against three identically populated TCP clusters — the classic
-// call-per-connection protocol, the multiplexed framed protocol dispatching
-// per op, and the multiplexed protocol dispatching -rpcbatch-op vectors
-// through the batch RPCs — and reports each phase's throughput, RPC count
-// and RPCs/op alongside the speedups over classic.
+// against two identically populated TCP clusters — one dispatching per op,
+// one dispatching -rpcbatch-op vectors through the batch RPCs — and reports
+// each phase's throughput, RPC count and RPCs/op alongside the batched
+// speedup over per-op.
 //
 //	ghbabench -wire -files 5000 -workers 4 -ops 20000
 //	ghbabench -wire -files 5000 -workers 4 -rpcbatch 256
@@ -68,7 +67,7 @@ func main() {
 		protoN     = flag.Int("proto-n", 20, "prototype daemon count (figs 14–15)")
 		throughput = flag.Bool("throughput", false, "measure parallel lookup throughput instead of a figure")
 		replay     = flag.Bool("replay", false, "measure mixed-workload replay throughput (serial vs parallel) instead of a figure")
-		wire       = flag.Bool("wire", false, "measure wire-protocol replay throughput (classic vs mux vs mux+batch) instead of a figure")
+		wire       = flag.Bool("wire", false, "measure wire-protocol replay throughput (per-op vs batched dispatch) instead of a figure")
 		recovery   = flag.Bool("recovery", false, "measure WAL recovery time and lookup p99 during a daemon restart instead of a figure")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy for -recovery: always, interval or never")
 		rpcBatch   = flag.Int("rpcbatch", 0, "ops per batch-RPC vector for -wire's batched phase (0 = default)")
@@ -458,10 +457,9 @@ func runReplay(backend string, n, files, ops, workers, shipBatch int, seed int64
 	return nil
 }
 
-// wirePhaseRecord is one protocol configuration inside a wireRecord.
+// wirePhaseRecord is one dispatch configuration inside a wireRecord.
 type wirePhaseRecord struct {
 	Name      string            `json:"name"`
-	Transport string            `json:"transport"`
 	RPCBatch  int               `json:"rpc_batch"`
 	OpsPerSec float64           `json:"ops_per_sec"`
 	RPCs      uint64            `json:"rpcs"`
@@ -471,9 +469,8 @@ type wirePhaseRecord struct {
 }
 
 // wireRecord is the perf-trajectory datum -wire emits: the same mixed
-// workload replayed over the classic call-per-connection protocol, the
-// multiplexed protocol per-op, and the multiplexed protocol through the
-// batch RPCs, with per-opcode RPC counts for each phase.
+// workload replayed per-op and through the batch RPCs, with per-opcode RPC
+// counts for each phase.
 type wireRecord struct {
 	Bench            string            `json:"bench"`
 	NumMDS           int               `json:"num_mds"`
@@ -486,19 +483,17 @@ type wireRecord struct {
 	RPCBatch         int               `json:"rpc_batch"`
 	Seed             int64             `json:"seed"`
 	CPUs             int               `json:"cpus"`
-	ClassicOpsPerSec float64           `json:"classic_ops_per_sec"`
 	MuxOpsPerSec     float64           `json:"mux_ops_per_sec"`
 	BatchedOpsPerSec float64           `json:"batched_ops_per_sec"`
-	MuxSpeedup       float64           `json:"mux_speedup"`
 	BatchedSpeedup   float64           `json:"batched_speedup"`
-	ClassicRPCsPerOp float64           `json:"classic_rpcs_per_op"`
+	MuxRPCsPerOp     float64           `json:"mux_rpcs_per_op"`
 	BatchedRPCsPerOp float64           `json:"batched_rpcs_per_op"`
 	RPCReduction     float64           `json:"rpc_reduction"`
 	Phases           []wirePhaseRecord `json:"phases"`
 }
 
-// runWire drives experiments.WireBench: classic versus mux versus
-// mux+batch over one mixed workload, real sockets in every phase.
+// runWire drives experiments.WireBench: per-op versus batched dispatch
+// over one mixed workload, real sockets in both phases.
 func runWire(n, files, ops, workers, shipBatch, rpcBatch int, seed int64, mix, jsonOut string) error {
 	var l, c, d float64
 	if _, err := fmt.Sscanf(mix, "%f:%f:%f", &l, &c, &d); err != nil {
@@ -541,19 +536,16 @@ func runWire(n, files, ops, workers, shipBatch, rpcBatch int, seed int64, mix, j
 		RPCBatch:         res.Config.RPCBatch,
 		Seed:             seed,
 		CPUs:             runtime.NumCPU(),
-		ClassicOpsPerSec: res.Phases[0].Stats.OpsPerSec,
-		MuxOpsPerSec:     res.Phases[1].Stats.OpsPerSec,
-		BatchedOpsPerSec: res.Phases[2].Stats.OpsPerSec,
-		MuxSpeedup:       res.MuxSpeedup,
+		MuxOpsPerSec:     res.Phases[0].Stats.OpsPerSec,
+		BatchedOpsPerSec: res.Phases[1].Stats.OpsPerSec,
 		BatchedSpeedup:   res.BatchedSpeedup,
-		ClassicRPCsPerOp: res.Phases[0].RPCsPerOp,
-		BatchedRPCsPerOp: res.Phases[2].RPCsPerOp,
+		MuxRPCsPerOp:     res.Phases[0].RPCsPerOp,
+		BatchedRPCsPerOp: res.Phases[1].RPCsPerOp,
 		RPCReduction:     res.RPCReduction,
 	}
 	for _, p := range res.Phases {
 		rec.Phases = append(rec.Phases, wirePhaseRecord{
 			Name:      p.Name,
-			Transport: p.Transport,
 			RPCBatch:  p.RPCBatch,
 			OpsPerSec: p.Stats.OpsPerSec,
 			RPCs:      p.RPCs,

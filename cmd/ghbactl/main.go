@@ -8,7 +8,6 @@
 //	ghbactl -throughput -workers 8 -ops 5000
 //	ghbactl -replay -mix 70:20:10 -workers 4 -ops 5000
 //	ghbactl -replay -rpcbatch 256 -ops 5000        # vectorized batch RPCs
-//	ghbactl -transport classic -ops 2000           # pre-mux wire protocol
 //
 // -throughput switches the replay to the concurrent driver: the same
 // lookup batch runs through the parallel engine at worker counts doubling
@@ -50,7 +49,6 @@ func main() {
 		shipBatch  = flag.Int("shipbatch", 1, "coalescing ship-queue drain batch for -replay (1 = ship at every threshold crossing)")
 		workers    = flag.Int("workers", 8, "max parallel workers in -throughput / -replay mode")
 		timeout    = flag.Duration("call-timeout", 0, "per-RPC deadline (0 = library default, negative = none)")
-		transport  = flag.String("transport", "", "wire protocol: mux (default) or classic")
 		rpcBatch   = flag.Int("rpcbatch", 1, "ops per batch-RPC vector in -replay mode (1 = per-op dispatch)")
 	)
 	flag.Parse()
@@ -69,12 +67,10 @@ func main() {
 		ResidentReplicaLimit: *resid,
 		DiskPenalty:          *penalty,
 		CallTimeout:          *timeout,
-		Transport:            *transport,
 	})
 	exitIf(err)
 	defer cluster.Close()
-	fmt.Printf("ghbactl: %s cluster of %d daemons up (%s transport)\n",
-		cluster.Cluster().Mode(), cluster.NumMDS(), cluster.Transport())
+	fmt.Printf("ghbactl: %s cluster of %d daemons up\n", cluster.Cluster().Mode(), cluster.NumMDS())
 
 	if *replay {
 		runReplay(ctx, cluster, *files, *ops, *workers, *rpcBatch, *mix, *seed)

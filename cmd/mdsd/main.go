@@ -2,11 +2,10 @@
 // behind the rpcnet TCP protocol, the building block of the Section 5
 // prototype. Point ghbactl at its address to issue queries.
 //
-// One listener serves both wire protocols: connections opening with the
-// "GMX1" magic speak the multiplexed framed protocol (request-ID-tagged
-// frames pipelined over one socket, batch RPC opcodes included); all other
-// connections speak the classic one-call-at-a-time protocol, so old clients
-// keep working unchanged.
+// The listener speaks one wire protocol: connections open with the "GMX1"
+// magic and then carry request-ID-tagged frames pipelined over one socket,
+// batch RPC opcodes included. A connection that opens with anything else
+// is closed.
 //
 // With -data the daemon is durable: mutations are write-ahead logged to the
 // given directory and compacted into snapshots, and startup recovers

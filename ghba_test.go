@@ -77,6 +77,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestTransportValidationAndDefault pins the deprecated Transport field:
+// "" and "mux" both start the one wire protocol, and any other name —
+// the retired "classic" included — is a *ConfigError.
+func TestTransportValidationAndDefault(t *testing.T) {
+	for _, transport := range []string{"", "mux"} {
+		p, err := StartPrototype(PrototypeConfig{Config: Config{NumMDS: 2}, Transport: transport})
+		if err != nil {
+			t.Errorf("Transport %q rejected: %v", transport, err)
+			continue
+		}
+		p.Close()
+	}
+	for _, transport := range []string{"classic", "carrier-pigeon"} {
+		_, err := StartPrototype(PrototypeConfig{Config: Config{NumMDS: 2}, Transport: transport})
+		var cerr *ConfigError
+		if !errors.As(err, &cerr) || cerr.Field != "Transport" {
+			t.Errorf("Transport %q: err = %v, want a *ConfigError on Transport", transport, err)
+		}
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	s := newSim(t, 12)
 	if s.NumMDS() != 12 {

@@ -11,13 +11,10 @@ import (
 )
 
 // WireBenchConfig parameterizes the wire-protocol A/B benchmark: one mixed
-// workload replayed against three identically built, identically populated
-// TCP clusters — the classic call-per-RPC protocol (the pre-mux path, kept
-// live behind Options.Transport), the multiplexed protocol dispatching per
-// op, and the multiplexed protocol dispatching RPCBatch-op vectors through
-// the batch RPCs. The deltas isolate what each layer buys: mux per-op
-// measures framing and connection reuse, mux batched adds the
-// RPC-amortization win.
+// workload replayed against two identically built, identically populated
+// TCP clusters — one dispatching per op (the baseline, rpcbatch=1), one
+// dispatching RPCBatch-op vectors through the batch RPCs. The delta
+// isolates the RPC-amortization win.
 type WireBenchConfig struct {
 	// N is the MDS count; M the group size (0 selects the paper optimum).
 	N, M int
@@ -59,14 +56,12 @@ func DefaultWireBenchConfig() WireBenchConfig {
 	}
 }
 
-// WirePhase is one protocol configuration's measured run.
+// WirePhase is one dispatch configuration's measured run.
 type WirePhase struct {
-	// Name labels the phase: "classic", "mux", "mux+batch".
+	// Name labels the phase: "mux" (per-op) or "mux+batch".
 	Name string
-	// Transport is the wire protocol ("classic" or "mux"); RPCBatch is the
-	// ops-per-vector (0 = per-op dispatch).
-	Transport string
-	RPCBatch  int
+	// RPCBatch is the ops-per-vector (1 = per-op dispatch).
+	RPCBatch int
 	// Stats is the replay run.
 	Stats ReplayStats
 	// RPCs is the number of coordinator RPCs the replay issued; RPCsPerOp
@@ -75,20 +70,18 @@ type WirePhase struct {
 	RPCsPerOp float64
 	// ByOpcode breaks the RPCs down per message type.
 	ByOpcode map[string]uint64
-	// Speedup is this phase's ops/sec over the classic phase's.
+	// Speedup is this phase's ops/sec over the per-op phase's.
 	Speedup float64
 }
 
-// WireBenchResult carries the three phases plus the headline comparisons.
+// WireBenchResult carries the two phases plus the headline comparisons.
 type WireBenchResult struct {
 	Config WireBenchConfig
-	// Phases holds classic, mux, mux+batch in that order.
+	// Phases holds mux (per-op) and mux+batch, in that order.
 	Phases []WirePhase
-	// MuxSpeedup is mux per-op over classic; BatchedSpeedup is mux batched
-	// over classic — the number the ≥5× wire-protocol goal is scored on.
-	MuxSpeedup     float64
+	// BatchedSpeedup is batched over per-op ops/sec.
 	BatchedSpeedup float64
-	// RPCReduction is classic RPCs-per-op over mux-batched RPCs-per-op.
+	// RPCReduction is per-op RPCs-per-op over batched RPCs-per-op.
 	RPCReduction float64
 }
 
@@ -107,11 +100,11 @@ func (cfg WireBenchConfig) wireTraceConfig() (trace.Config, error) {
 	}, nil
 }
 
-// runPhase boots one TCP cluster on the given transport, populates it from
-// the shared generator config, replays the workload (batched when rpcBatch
-// > 1), and reads the RPC counters back.
-func (cfg WireBenchConfig) runPhase(ctx context.Context, tcfg trace.Config, name, transport string, rpcBatch int) (WirePhase, error) {
-	phase := WirePhase{Name: name, Transport: transport, RPCBatch: rpcBatch}
+// runPhase boots one TCP cluster, populates it from the shared generator
+// config, replays the workload (batched when rpcBatch > 1), and reads the
+// RPC counters back.
+func (cfg WireBenchConfig) runPhase(ctx context.Context, tcfg trace.Config, name string, rpcBatch int) (WirePhase, error) {
+	phase := WirePhase{Name: name, RPCBatch: rpcBatch}
 	gen, err := trace.NewGenerator(tcfg)
 	if err != nil {
 		return phase, err
@@ -125,7 +118,6 @@ func (cfg WireBenchConfig) runPhase(ctx context.Context, tcfg trace.Config, name
 			ShipBatch:           cfg.ShipBatch,
 			Seed:                cfg.Seed,
 		},
-		Transport: transport,
 	})
 	if err != nil {
 		return phase, err
@@ -149,7 +141,7 @@ func (cfg WireBenchConfig) runPhase(ctx context.Context, tcfg trace.Config, name
 	return phase, nil
 }
 
-// WireBench runs the three-phase protocol comparison.
+// WireBench runs the two-phase dispatch comparison.
 func WireBench(cfg WireBenchConfig) (WireBenchResult, error) {
 	ctx := context.Background()
 	if cfg.N < 1 || cfg.Ops < 1 {
@@ -173,31 +165,28 @@ func WireBench(cfg WireBenchConfig) (WireBenchResult, error) {
 	}
 	out := WireBenchResult{Config: cfg}
 	specs := []struct {
-		name      string
-		transport string
-		rpcBatch  int
+		name     string
+		rpcBatch int
 	}{
-		{"classic", "classic", 1},
-		{"mux", "mux", 1},
-		{"mux+batch", "mux", cfg.RPCBatch},
+		{"mux", 1},
+		{"mux+batch", cfg.RPCBatch},
 	}
 	for _, spec := range specs {
-		phase, err := cfg.runPhase(ctx, tcfg, spec.name, spec.transport, spec.rpcBatch)
+		phase, err := cfg.runPhase(ctx, tcfg, spec.name, spec.rpcBatch)
 		if err != nil {
 			return out, err
 		}
 		out.Phases = append(out.Phases, phase)
 	}
-	classic := out.Phases[0]
+	perOp, batched := out.Phases[0], out.Phases[1]
 	for i := range out.Phases {
-		if classic.Stats.OpsPerSec > 0 {
-			out.Phases[i].Speedup = out.Phases[i].Stats.OpsPerSec / classic.Stats.OpsPerSec
+		if perOp.Stats.OpsPerSec > 0 {
+			out.Phases[i].Speedup = out.Phases[i].Stats.OpsPerSec / perOp.Stats.OpsPerSec
 		}
 	}
-	out.MuxSpeedup = out.Phases[1].Speedup
-	out.BatchedSpeedup = out.Phases[2].Speedup
-	if batched := out.Phases[2]; batched.RPCsPerOp > 0 {
-		out.RPCReduction = classic.RPCsPerOp / batched.RPCsPerOp
+	out.BatchedSpeedup = out.Phases[1].Speedup
+	if batched.RPCsPerOp > 0 {
+		out.RPCReduction = perOp.RPCsPerOp / batched.RPCsPerOp
 	}
 	return out, nil
 }
@@ -213,8 +202,7 @@ func FormatWireBench(r WireBenchResult) string {
 			p.Name, p.Stats.OpsPerSec, p.Stats.Elapsed.Round(time.Millisecond),
 			p.RPCs, p.RPCsPerOp, p.Speedup)
 	}
-	b = fmt.Appendf(b, "  mux over classic      %.2fx\n", r.MuxSpeedup)
-	b = fmt.Appendf(b, "  batched over classic  %.2fx  (RPCs/op reduced %.1fx)\n",
+	b = fmt.Appendf(b, "  batched over per-op  %.2fx  (RPCs/op reduced %.1fx)\n",
 		r.BatchedSpeedup, r.RPCReduction)
 	return string(b)
 }

@@ -618,20 +618,14 @@ func (c *Cluster) verifyPairs(ctx context.Context, paths []string, pairs []verif
 
 // hasLocalVector is the batched L4 round: every daemon receives the whole
 // remaining vector, and homes[i] is the daemon that authoritatively homes
-// paths[i] (-1 when none does). On the mux transport the gather cancels the
-// remaining probes once every path has found its home — only the true home
-// answers positive, so the first positive per path is decisive.
+// paths[i] (-1 when none does). The gather cancels the remaining probes
+// once every path has found its home — only the true home answers
+// positive, so the first positive per path is decisive.
 func (c *Cluster) hasLocalVector(ctx context.Context, paths []string, ctr *atomic.Int64) ([]int, error) {
 	ids := c.snapshotIDs()
 	payload := encodePaths(paths)
-	searchCtx := ctx
-	cancelRest := func() {}
-	if c.useMux {
-		var cancel context.CancelFunc
-		searchCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		cancelRest = cancel
-	}
+	searchCtx, cancelRest := context.WithCancel(ctx)
+	defer cancelRest()
 	homes := make([]int, len(paths))
 	for i := range homes {
 		homes[i] = -1

@@ -113,48 +113,6 @@ func TestApplyBatchMatchesSerialReplay(t *testing.T) {
 	}
 }
 
-// TestApplyBatchOverClassicTransport pins that the batch RPCs are legal
-// over the classic call-per-connection protocol too.
-func TestApplyBatchOverClassicTransport(t *testing.T) {
-	opts := testOptions(4, 2, ModeGHBA)
-	opts.Transport = TransportClassic
-	c, err := Start(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if c.Transport() != TransportClassic {
-		t.Fatalf("Transport() = %q", c.Transport())
-	}
-	paths := make([]string, 50)
-	for i := range paths {
-		paths[i] = "/p/f" + strconv.Itoa(i)
-	}
-	c.Populate(paths)
-	rng := rand.New(rand.NewSource(3))
-	results, err := c.ApplyBatch(context.Background(), rng, mixedRecords(50, 80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Level > 0 && res.Found && res.Home < 0 {
-			t.Errorf("op %d: found with no home: %+v", i, res)
-		}
-	}
-}
-
-func TestTransportValidationAndDefault(t *testing.T) {
-	opts := testOptions(2, 2, ModeGHBA)
-	opts.Transport = "carrier-pigeon"
-	if _, err := Start(opts); err == nil {
-		t.Error("unknown transport accepted")
-	}
-	c := startPopulated(t, 2, 2, ModeGHBA, 10)
-	if c.Transport() != TransportMux {
-		t.Errorf("default transport = %q, want %q", c.Transport(), TransportMux)
-	}
-}
-
 func TestRPCCountsPerOpcode(t *testing.T) {
 	c := startPopulated(t, 4, 2, ModeGHBA, 50)
 	c.ResetRPCCounts()

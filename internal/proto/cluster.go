@@ -49,19 +49,6 @@ func (m Mode) String() string {
 // coordinator.
 const DefaultCallTimeout = 10 * time.Second
 
-// Transport names for Options.Transport.
-const (
-	// TransportMux (the default) multiplexes every RPC to a daemon over one
-	// shared socket: request-ID-tagged frames, a single writer and reader
-	// goroutine per connection, and an in-flight window that pipelines calls
-	// instead of serializing them.
-	TransportMux = "mux"
-	// TransportClassic is the original call-per-connection protocol behind a
-	// per-daemon pool — kept selectable so the wire bench can measure the
-	// pre-mux path live.
-	TransportClassic = "classic"
-)
-
 // Options configures a prototype cluster.
 type Options struct {
 	// N is the number of MDS daemons.
@@ -101,9 +88,6 @@ type Options struct {
 	// multicasts immediately, matching the simulator's per-lookup L1
 	// learning (the cross-backend equivalence tests rely on this).
 	ObserveBatch int
-	// Transport selects the wire protocol: TransportMux (default when
-	// empty) or TransportClassic.
-	Transport string
 	// DataDir, when non-empty, makes every daemon durable: MDS i write-ahead
 	// logs its mutations under DataDir/mds-<i> and compacts the log into
 	// snapshots, so KillMDS/RestartMDS (and a standalone cmd/mdsd -data)
@@ -139,9 +123,6 @@ func (o *Options) validate() error {
 	if o.Mode != ModeGHBA && o.Mode != ModeHBA {
 		return fmt.Errorf("proto: unknown mode %d", int(o.Mode))
 	}
-	if o.Transport != "" && o.Transport != TransportMux && o.Transport != TransportClassic {
-		return fmt.Errorf("proto: unknown transport %q", o.Transport)
-	}
 	if _, err := wal.ParseSyncPolicy(o.WALSync); err != nil {
 		return fmt.Errorf("proto: %w", err)
 	}
@@ -168,10 +149,10 @@ func (o *Options) walDir(id int) string {
 // lookups and mutations are readers that snapshot what they need and issue
 // RPCs without holding the lock, and AddMDS is the exclusive writer. The
 // ground-truth home map synchronizes on its own mutex so creates and
-// deletes on different paths never contend on the membership lock. RPC
-// connections are pooled per daemon (connSet), so concurrent operations
-// against one daemon ride parallel sockets rather than serializing on a
-// shared connection.
+// deletes on different paths never contend on the membership lock. Each
+// daemon has one multiplexed connection (connSet), so concurrent
+// operations against one daemon share its socket as pipelined calls
+// rather than serializing on it.
 type Cluster struct {
 	opts Options
 
@@ -217,11 +198,6 @@ type Cluster struct {
 	pendingObs []observation
 	obsBatch   int
 
-	// useMux is true when the cluster rides the multiplexed transport; the
-	// L4 scatter-gather cancels losing probes only then, because abandoning
-	// a classic pooled call poisons its connection.
-	useMux bool
-
 	// retry is the idempotent-RPC retry policy; zero disables retries.
 	retry rpcnet.RetryPolicy
 
@@ -231,28 +207,19 @@ type Cluster struct {
 	rpcByOp      [len(opNames)]atomic.Uint64
 }
 
-// caller is the per-daemon connection surface the coordinator drives: the
-// classic per-call connection pool and the multiplexed client both satisfy
-// it, which is all the transport switch amounts to above the rpcnet layer.
-type caller interface {
-	CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error)
-	Close()
-}
-
 // connSet owns the coordinator's per-daemon connections. It is
 // deliberately independent of Cluster.mu so reconfiguration can issue RPCs
 // to a daemon (including a half-joined newcomer) while holding the
 // membership write lock.
 type connSet struct {
 	callTimeout time.Duration // ≤ 0 disables per-call deadlines
-	mux         bool
 
 	mu    sync.Mutex
-	conns map[int]caller
+	conns map[int]*rpcnet.MuxClient
 }
 
-func newConnSet(callTimeout time.Duration, mux bool) *connSet {
-	return &connSet{callTimeout: callTimeout, mux: mux, conns: make(map[int]caller)}
+func newConnSet(callTimeout time.Duration) *connSet {
+	return &connSet{callTimeout: callTimeout, conns: make(map[int]*rpcnet.MuxClient)}
 }
 
 // register creates (or replaces) the connection for a daemon.
@@ -269,17 +236,10 @@ func (cs *connSet) register(id int, addr string) {
 	if timeout < 0 {
 		timeout = 0
 	}
-	if cs.mux {
-		cs.conns[id] = rpcnet.NewMuxClient(addr, rpcnet.MuxOptions{
-			DialTimeout: timeout,
-			CallTimeout: timeout,
-		})
-	} else {
-		cs.conns[id] = rpcnet.NewPool(addr, rpcnet.PoolOptions{
-			DialTimeout: timeout,
-			CallTimeout: timeout,
-		})
-	}
+	cs.conns[id] = rpcnet.NewMuxClient(addr, rpcnet.MuxOptions{
+		DialTimeout: timeout,
+		CallTimeout: timeout,
+	})
 }
 
 // unregister drops a daemon's connection (failed join, removal).
@@ -292,7 +252,7 @@ func (cs *connSet) unregister(id int) {
 	}
 }
 
-func (cs *connSet) conn(id int) (caller, error) {
+func (cs *connSet) conn(id int) (*rpcnet.MuxClient, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	p, ok := cs.conns[id]
@@ -335,7 +295,6 @@ func Start(opts Options) (*Cluster, error) {
 	if obsBatch <= 0 {
 		obsBatch = 64
 	}
-	useMux := opts.Transport != TransportClassic
 	c := &Cluster{
 		opts:     opts,
 		servers:  make(map[int]*NodeServer),
@@ -343,11 +302,10 @@ func Start(opts Options) (*Cluster, error) {
 		holders:  make(map[int]map[int]int),
 		homes:    make(map[string]int),
 		ships:    shipq.New(opts.ShipBatch),
-		conns:    newConnSet(callTimeout, useMux),
+		conns:    newConnSet(callTimeout),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		obsBatch: obsBatch,
 		nextID:   opts.N,
-		useMux:   useMux,
 		retry:    opts.Retry,
 	}
 	for i := 0; i < opts.N; i++ {
@@ -547,15 +505,6 @@ func (c *Cluster) Mode() Mode { return c.opts.Mode }
 // Seed returns the seed the cluster's own RNG was built from.
 func (c *Cluster) Seed() int64 { return c.opts.Seed }
 
-// Transport returns the wire protocol in use (TransportMux or
-// TransportClassic).
-func (c *Cluster) Transport() string {
-	if c.useMux {
-		return TransportMux
-	}
-	return TransportClassic
-}
-
 // Messages returns the total RPC messages issued by the coordinator.
 func (c *Cluster) Messages() uint64 { return c.messages.Load() }
 
@@ -610,7 +559,7 @@ func (c *Cluster) Close() {
 	}
 }
 
-// call issues one counted RPC through the daemon's connection pool. ctr,
+// call issues one counted RPC over the daemon's connection. ctr,
 // when non-nil, additionally charges the message to one lookup or
 // reconfiguration, keeping per-operation counts exact even while other
 // operations are in flight. Idempotent message types ride the cluster's
@@ -633,7 +582,7 @@ func (c *Cluster) call(ctx context.Context, id int, msgType uint8, payload []byt
 // before handing it to the transport; retries therefore count like the
 // distinct messages they are on the wire.
 type countedCaller struct {
-	conn    caller
+	conn    *rpcnet.MuxClient
 	c       *Cluster
 	msgType uint8
 	ctr     *atomic.Int64
@@ -1031,23 +980,15 @@ func (c *Cluster) multicastQuery(ctx context.Context, members []int, entry int, 
 
 // globalSearch asks every daemon (minus the entry) whether it homes path.
 //
-// On the mux transport the fan-out is a true scatter-gather round: exactly
-// one daemon — the path's home — can answer positive (an opHasLocal positive
-// is an authoritative store check, not a filter guess), so the first
-// positive is decisive and cancels the remaining probes. An abandoned mux
-// call is discarded by request ID without harming the shared connection;
-// the classic transport poisons a cancelled pooled connection, so there the
-// gather runs to completion instead.
+// The fan-out is a true scatter-gather round: exactly one daemon — the
+// path's home — can answer positive (an opHasLocal positive is an
+// authoritative store check, not a filter guess), so the first positive is
+// decisive and cancels the remaining probes. An abandoned call is
+// discarded by request ID without harming the shared connection.
 func (c *Cluster) globalSearch(ctx context.Context, path string, entry int, ctr *atomic.Int64) (int, error) {
 	ids := c.snapshotIDs()
-	searchCtx := ctx
-	cancelRest := func() {}
-	if c.useMux {
-		var cancel context.CancelFunc
-		searchCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		cancelRest = cancel
-	}
+	searchCtx, cancelRest := context.WithCancel(ctx)
+	defer cancelRest()
 	type answer struct {
 		id  int
 		has bool

@@ -33,9 +33,8 @@ const (
 	opDeleteFile                      // path → 2 bytes: existed, local filter rebuilt
 
 	// Batch RPCs: one frame carries a vector of paths, amortizing syscalls,
-	// frame headers and digest computation across the whole vector. They
-	// ride the mux transport's pipelining, but are legal (if pointless) over
-	// the classic protocol too.
+	// frame headers and digest computation across the whole vector, and
+	// ride the connection's pipelining like every other call.
 	opLookupBatch      // paths → per path: L1 hits + L2 hits (entry leg)
 	opQueryMemberBatch // paths → per path: L2 hits (group multicast leg)
 	opVerifyBatch      // paths → per path: 1/0 authoritative answer

@@ -36,7 +36,7 @@ func (c *Cluster) AddMDS(ctx context.Context) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	// The connection pool registers early — reconfiguration RPCs must
+	// The connection registers early — reconfiguration RPCs must
 	// reach the newcomer — but the membership index does not.
 	c.conns.register(id, ns.Addr())
 

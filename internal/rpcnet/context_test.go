@@ -4,162 +4,142 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sync"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestPoolCloseIdempotent pins the lifecycle contract: Close may be called
-// any number of times, from any goroutine, without panicking or leaking.
-func TestPoolCloseIdempotent(t *testing.T) {
-	s := stallServer(t)
-	p := NewPool(s.Addr(), PoolOptions{})
-	if _, err := p.Call(1, []byte("warm")); err != nil {
-		t.Fatal(err)
-	}
-	if p.IdleConns() != 1 {
-		t.Fatalf("idle = %d, want 1", p.IdleConns())
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Close()
-		}()
-	}
-	wg.Wait()
-	p.Close() // and once more, serially
-	if p.IdleConns() != 0 {
-		t.Errorf("idle after close = %d", p.IdleConns())
-	}
-}
+// opStall is the request type stallServer blocks on.
+const opStall uint8 = 9
 
-// TestPoolGetAfterClose pins the checkout contract: Get on a closed pool
-// fails with ErrPoolClosed (wrapped detection via errors.Is), and a
-// connection checked out before Close can be returned afterwards without a
-// panic — it is simply closed instead of retained.
-func TestPoolGetAfterClose(t *testing.T) {
-	s := stallServer(t)
-	p := NewPool(s.Addr(), PoolOptions{})
-
-	// Check one connection out while the pool is open.
-	inFlight, err := p.Get()
+// stallServer echoes every request except opStall, which blocks until the
+// test ends (the release is registered as a cleanup after the server's own
+// Close, so it runs first and handlers unblock before Close waits). It
+// counts the requests that reached the handler.
+func stallServer(t *testing.T) (*Server, *atomic.Int64) {
+	t.Helper()
+	release := make(chan struct{})
+	handled := new(atomic.Int64)
+	s, err := Serve("127.0.0.1:0", func(msgType uint8, payload []byte) ([]byte, error) {
+		handled.Add(1)
+		if msgType == opStall {
+			<-release
+		}
+		return payload, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
-
-	if _, err := p.Get(); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Get after Close = %v, want ErrPoolClosed", err)
-	}
-	if _, err := p.Call(1, []byte("x")); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Call after Close = %v, want ErrPoolClosed", err)
-	}
-
-	// The in-flight connection still completes its call and its return
-	// must not panic or resurrect the idle list.
-	resp, err := inFlight.Call(1, []byte("late"))
-	if err != nil || !bytes.Equal(resp, []byte("late")) {
-		t.Fatalf("in-flight call after pool close: %v %q", err, resp)
-	}
-	p.Put(inFlight)
-	if p.IdleConns() != 0 {
-		t.Errorf("closed pool retained a returned connection")
-	}
-	// The returned connection was closed by Put.
-	if _, err := inFlight.Call(1, []byte("dead")); err == nil {
-		t.Error("connection returned to a closed pool still usable")
-	}
-	p.Put(nil) // nil return is a no-op, not a panic
+	t.Cleanup(s.Close)
+	t.Cleanup(func() { close(release) })
+	return s, handled
 }
 
 // TestCallContextCancellation pins the cancellation path: a context
-// cancelled mid-call interrupts the blocked round trip, surfaces
-// context.Canceled, and poisons the connection.
+// cancelled mid-call releases the blocked caller with context.Canceled,
+// and the connection keeps serving — the late response is discarded by
+// request ID.
 func TestCallContextCancellation(t *testing.T) {
-	s := stallServer(t)
-	cl, err := Dial(s.Addr())
+	s, _ := stallServer(t)
+	m, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err = cl.CallContext(ctx, opStall, nil)
+	_, err = m.CallContext(ctx, opStall, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call returned %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v, call was not interrupted", elapsed)
 	}
-	// The stream position is unknown: the connection is poisoned.
-	if _, err := cl.Call(1, []byte("x")); err == nil {
-		t.Error("poisoned connection still usable")
+	if resp, err := m.Call(1, []byte("x")); err != nil || !bytes.Equal(resp, []byte("x")) {
+		t.Errorf("connection unusable after a cancelled call: %q, %v", resp, err)
 	}
 }
 
 // TestCallContextDeadline pins the deadline merge: a context deadline
-// tighter than the client's configured timeout wins, and expiry surfaces
+// tighter than the connection's call timeout wins, and expiry surfaces
 // context.DeadlineExceeded.
 func TestCallContextDeadline(t *testing.T) {
-	s := stallServer(t)
-	cl, err := DialTimeout(s.Addr(), time.Second, 30*time.Second)
+	s, _ := stallServer(t)
+	m, err := DialMux(s.Addr(), MuxOptions{DialTimeout: time.Second, CallTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = cl.CallContext(ctx, opStall, nil)
+	_, err = m.CallContext(ctx, opStall, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired call returned %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline honored the 30s client timeout instead: %v", elapsed)
+		t.Fatalf("deadline honored the 30s call timeout instead: %v", elapsed)
 	}
 }
 
 // TestCallContextPreCancelled pins the fail-fast path: an already-cancelled
-// context never writes a frame, so the connection stays clean and usable.
+// context never writes a frame, so the server never sees it.
 func TestCallContextPreCancelled(t *testing.T) {
-	s := stallServer(t)
-	cl, err := Dial(s.Addr())
+	s, handled := stallServer(t)
+	m, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.CallContext(ctx, 1, []byte("x")); !errors.Is(err, context.Canceled) {
+	if _, err := m.CallContext(ctx, 1, []byte("x")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled call returned %v", err)
 	}
-	// No frame was written: the next call still works.
-	resp, err := cl.Call(1, []byte("clean"))
+	resp, err := m.Call(1, []byte("clean"))
 	if err != nil || !bytes.Equal(resp, []byte("clean")) {
 		t.Fatalf("connection dirtied by pre-cancelled call: %v %q", err, resp)
 	}
+	if n := handled.Load(); n != 1 {
+		t.Errorf("handler ran %d times, want 1: the pre-cancelled call was written", n)
+	}
 }
 
-// TestPoolCallContextDiscardsCancelled pins the pool-side behaviour: a
-// cancelled call's connection is discarded, not returned to the idle list.
-func TestPoolCallContextDiscardsCancelled(t *testing.T) {
-	s := stallServer(t)
-	p := NewPool(s.Addr(), PoolOptions{})
-	t.Cleanup(p.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := p.CallContext(ctx, opStall, nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stalled pooled call returned %v", err)
+// TestCallDeadlineOnStalledServer pins the call timeout: a hung handler
+// costs one failed call, and the connection is poisoned so later calls
+// fail fast with the same error instead of waiting out the hang.
+func TestCallDeadlineOnStalledServer(t *testing.T) {
+	s, _ := stallServer(t)
+	m, err := DialMux(s.Addr(), MuxOptions{DialTimeout: time.Second, CallTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.IdleConns() != 0 {
-		t.Errorf("cancelled connection returned to the pool")
+	defer m.Close()
+	start := time.Now()
+	_, err = m.Call(opStall, []byte("wedge me"))
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Errorf("err = %v, want net timeout", err)
 	}
-	// The pool dials fresh and recovers.
-	resp, err := p.Call(1, []byte("next"))
-	if err != nil || !bytes.Equal(resp, []byte("next")) {
-		t.Fatalf("pool did not recover after cancellation: %v %q", err, resp)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("timeout took %v, deadline was 100ms", elapsed)
+	}
+	if _, err := m.Call(1, []byte("after")); !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Errorf("call on poisoned connection = %v, want the timeout that poisoned it", err)
+	}
+}
+
+func TestClientWithoutTimeoutStillWorks(t *testing.T) {
+	s, _ := stallServer(t)
+	c := NewMuxClient(s.Addr(), MuxOptions{})
+	defer c.Close()
+	resp, err := c.Call(1, []byte("no deadline"))
+	if err != nil || !bytes.Equal(resp, []byte("no deadline")) {
+		t.Fatalf("call = %q, %v", resp, err)
 	}
 }

@@ -3,54 +3,34 @@ package rpcnet
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 )
 
-// The multiplexed protocol ("mux") shares one socket among many concurrent
-// logical calls: every frame carries a request ID, one writer goroutine and
-// one reader goroutine own the socket's two directions, and an in-flight
-// window bounds the requests awaiting responses. Responses may return in any
-// order; the ID pairs them with their calls. A connection opens with a
-// 4-byte magic so servers can keep speaking the classic one-call-per-frame
-// protocol to old clients on the same port.
+// The client side of the protocol: a MuxConn shares one socket among many
+// concurrent logical calls. Each caller writes its own request frame
+// through the connection's frameWriter, one reader goroutine pairs the
+// responses with their calls by request ID, and an in-flight window bounds
+// the requests awaiting responses.
 //
-// Mux frame, big endian, both directions:
-//
-//	len uint32 | id uint64 | lead uint8 | payload
-//
-// where len covers everything after the length field (so len ≥ 9), lead is
-// the request type client→server and the status byte (0 = OK, 1 =
-// application error) server→client, and len is capped at MaxMessageBytes.
-//
-// Error semantics mirror the classic Client where the transport allows:
-// application errors are clean frames and surface as *RemoteError; transport
-// errors (resets, short reads, malformed frames, call timeouts against a
-// hung server) poison the connection and fail every in-flight call. Context
-// cancellation, however, no longer poisons: the frame boundary is owned by
-// the writer goroutine, so an abandoned call just discards its response when
-// it arrives and the connection keeps serving other calls.
-
-// muxMagic opens every mux connection. As a classic frame it would declare a
-// ~1.2 GB length — far beyond MaxMessageBytes — so sniffing it can never
-// misread a legal classic request.
-const muxMagic = "GMX1"
+// Application errors are clean frames and surface as *RemoteError.
+// Transport errors (resets, short reads, malformed frames, call timeouts
+// against a hung server, writes cut by a deadline) poison the connection
+// and fail every in-flight call. Context cancellation does not poison: a
+// call cancelled while queued to write leaves having written nothing, and
+// a call cancelled after its write just discards its response when it
+// arrives.
 
 // DefaultWindow is the in-flight window applied when MuxOptions leaves
 // Window zero: calls beyond it queue client-side until responses drain.
 const DefaultWindow = 256
 
-// muxFrameOverhead is the id+lead bytes covered by a mux frame's length.
-const muxFrameOverhead = 9
-
-// ErrConnClosed is returned by calls against a mux connection that was
-// closed locally (as opposed to poisoned by a transport error, which fails
-// calls with the poisoning error).
+// ErrConnClosed is returned by calls against a connection or client that
+// was closed locally (as opposed to poisoned by a transport error, which
+// fails calls with the poisoning error).
 var ErrConnClosed = errors.New("rpcnet: connection closed")
 
 // errCallTimeout marks a per-call deadline expiry against an unresponsive
@@ -62,178 +42,18 @@ func (e *errCallTimeout) Error() string {
 }
 
 // Timeout and Temporary make *errCallTimeout satisfy net.Error, so callers
-// testing nerr.Timeout() treat mux and classic timeouts alike.
+// can test nerr.Timeout() as for any network timeout.
 func (e *errCallTimeout) Timeout() bool   { return true }
 func (e *errCallTimeout) Temporary() bool { return true }
-
-// errPayloadTooBig reports an oversized outbound mux payload. A value-typed
-// error keeps the size check on the frame-write hot path free of fmt calls:
-// the message is formatted only if a caller reads it, and the interface
-// boxing happens on the failure return, never on the success path.
-type errPayloadTooBig int
-
-func (e errPayloadTooBig) Error() string {
-	return fmt.Sprintf("rpcnet: payload %d bytes exceeds limit", int(e))
-}
-
-// writeMuxFrame appends one mux frame to w.
-//
-//ghbavet:hotpath
-func writeMuxFrame(w io.Writer, id uint64, lead uint8, payload []byte) error {
-	if len(payload)+muxFrameOverhead > MaxMessageBytes {
-		return errPayloadTooBig(len(payload))
-	}
-	var hdr [4 + muxFrameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+muxFrameOverhead))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = lead
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readMuxFrame reads one mux frame. The payload buffer grows as bytes
-// actually arrive (1 MiB steps), so a malicious length prefix cannot force a
-// MaxMessageBytes allocation out of a short stream.
-func readMuxFrame(r io.Reader) (id uint64, lead uint8, payload []byte, err error) {
-	var hdr [4 + muxFrameOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < muxFrameOverhead || n > MaxMessageBytes {
-		return 0, 0, nil, fmt.Errorf("rpcnet: mux frame length %d out of range", n)
-	}
-	id = binary.BigEndian.Uint64(hdr[4:12])
-	lead = hdr[12]
-	body := int(n) - muxFrameOverhead
-	const chunk = 1 << 20
-	if body <= chunk {
-		payload = make([]byte, body)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, 0, nil, err
-		}
-		return id, lead, payload, nil
-	}
-	payload = make([]byte, 0, chunk)
-	for len(payload) < body {
-		step := body - len(payload)
-		if step > chunk {
-			step = chunk
-		}
-		off := len(payload)
-		payload = append(payload, make([]byte, step)...)
-		if _, err := io.ReadFull(r, payload[off:]); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	return id, lead, payload, nil
-}
-
-// muxServerConcurrency bounds the handler goroutines running per mux
-// connection; requests beyond it queue in the read loop, applying
-// backpressure through TCP.
-const muxServerConcurrency = 64
-
-// muxResponse is one handler result queued for a connection's writer.
-type muxResponse struct {
-	id      uint64
-	status  uint8
-	payload []byte
-}
-
-// serveMuxConn serves one multiplexed connection: the read loop dispatches
-// each request frame to a handler goroutine (bounded by
-// muxServerConcurrency), and a single writer goroutine streams responses
-// back — out of order when handlers finish out of order — coalescing every
-// response already waiting into one flush.
-func (s *Server) serveMuxConn(conn net.Conn, br *bufio.Reader) {
-	respCh := make(chan muxResponse, muxServerConcurrency)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriter(conn)
-		broken := false
-		// Each response carries an active-counter reference taken when its
-		// request started; the writer releases it once the response frame is
-		// flushed (or abandoned on a broken connection), so Drain's
-		// zero-active condition means every answer actually left the buffer.
-		unflushed := int64(0)
-		write := func(r muxResponse) {
-			if broken {
-				s.active.Add(-1) // drain so handlers never block on a dead writer
-				return
-			}
-			if writeMuxFrame(bw, r.id, r.status, r.payload) != nil {
-				broken = true
-				conn.Close()
-				s.active.Add(-1)
-				return
-			}
-			unflushed++
-		}
-		for resp := range respCh {
-			write(resp)
-			coalesce := true
-			for coalesce {
-				select {
-				case more, ok := <-respCh:
-					if !ok {
-						bw.Flush()
-						s.active.Add(-unflushed)
-						return
-					}
-					write(more)
-				default:
-					coalesce = false
-				}
-			}
-			if !broken && bw.Flush() != nil {
-				broken = true
-				conn.Close()
-			}
-			s.active.Add(-unflushed)
-			unflushed = 0
-		}
-	}()
-	sem := make(chan struct{}, muxServerConcurrency)
-	var wg sync.WaitGroup
-	for {
-		id, msgType, payload, err := readMuxFrame(br)
-		if err != nil {
-			break // connection closed or malformed stream
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(id uint64, msgType uint8, payload []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// The counter reference travels with the response into respCh;
-			// the writer goroutine releases it after the flush.
-			s.active.Add(1)
-			resp, herr := s.handler(msgType, payload)
-			status := uint8(0)
-			if herr != nil {
-				status = 1
-				resp = []byte(herr.Error())
-			}
-			respCh <- muxResponse{id: id, status: status, payload: resp}
-		}(id, msgType, payload)
-	}
-	wg.Wait()
-	close(respCh)
-	<-writerDone
-}
 
 // MuxOptions configures a multiplexed connection.
 type MuxOptions struct {
 	// DialTimeout bounds the dial (and the magic write); zero means none.
 	DialTimeout time.Duration
-	// CallTimeout is the per-call response deadline. A call that exceeds it
-	// poisons the connection — an unresponsive daemon costs the in-flight
-	// window, never a wedged client. Zero disables.
+	// CallTimeout is the per-call deadline, covering the request write and
+	// the wait for the response. A call that exceeds it poisons the
+	// connection — an unresponsive daemon costs the in-flight window,
+	// never a wedged client. Zero disables.
 	CallTimeout time.Duration
 	// Window caps the in-flight (sent, unanswered) calls sharing the
 	// connection; zero selects DefaultWindow.
@@ -254,14 +74,6 @@ type muxReply struct {
 	err     error
 }
 
-// muxRequest is one frame queued for the writer goroutine. The payload must
-// not be mutated after submission.
-type muxRequest struct {
-	id      uint64
-	msgType uint8
-	payload []byte
-}
-
 // MuxConn is one multiplexed connection: many concurrent CallContexts share
 // the socket, paired to responses by request ID. Transport errors poison the
 // connection (every pending and future call fails); context cancellation
@@ -269,7 +81,7 @@ type muxRequest struct {
 // after poisoning.
 type MuxConn struct {
 	conn    net.Conn
-	writeCh chan muxRequest
+	w       *frameWriter
 	window  chan struct{}
 	timeout time.Duration
 
@@ -281,7 +93,7 @@ type MuxConn struct {
 }
 
 // DialMux opens a multiplexed connection: it dials, sends the protocol
-// magic, and starts the connection's writer and reader goroutines.
+// magic, and starts the connection's reader goroutine.
 func DialMux(addr string, opts MuxOptions) (*MuxConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
@@ -295,52 +107,16 @@ func DialMux(addr string, opts MuxOptions) (*MuxConn, error) {
 		return nil, fmt.Errorf("rpcnet: mux handshake with %s: %w", addr, err)
 	}
 	conn.SetWriteDeadline(time.Time{})
-	w := opts.window()
 	m := &MuxConn{
 		conn:    conn,
-		writeCh: make(chan muxRequest, w),
-		window:  make(chan struct{}, w),
+		w:       newFrameWriter(conn, nil),
+		window:  make(chan struct{}, opts.window()),
 		timeout: opts.CallTimeout,
 		pending: make(map[uint64]chan muxReply),
 		done:    make(chan struct{}),
 	}
-	go m.writeLoop()
 	go m.readLoop()
 	return m, nil
-}
-
-// writeLoop is the connection's single writer: it drains queued requests,
-// coalescing every frame already waiting into one buffered flush — many
-// logical calls, one syscall.
-func (m *MuxConn) writeLoop() {
-	bw := bufio.NewWriter(m.conn)
-	for {
-		select {
-		case <-m.done:
-			return
-		case req := <-m.writeCh:
-			if err := writeMuxFrame(bw, req.id, req.msgType, req.payload); err != nil {
-				m.fail(fmt.Errorf("rpcnet: write: %w", err))
-				return
-			}
-			coalesce := true
-			for coalesce {
-				select {
-				case req = <-m.writeCh:
-					if err := writeMuxFrame(bw, req.id, req.msgType, req.payload); err != nil {
-						m.fail(fmt.Errorf("rpcnet: write: %w", err))
-						return
-					}
-				default:
-					coalesce = false
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				m.fail(fmt.Errorf("rpcnet: flush: %w", err))
-				return
-			}
-		}
-	}
 }
 
 // readLoop is the connection's single reader: it pairs every response frame
@@ -372,7 +148,8 @@ func (m *MuxConn) readLoop() {
 }
 
 // fail poisons the connection once: the terminal error is recorded, every
-// pending call is failed, and the socket is closed (unblocking both loops).
+// pending call is failed, and the socket is closed (unblocking the reader
+// and any blocked write).
 func (m *MuxConn) fail(err error) {
 	m.mu.Lock()
 	if m.failure == nil {
@@ -395,7 +172,7 @@ func (m *MuxConn) Broken() bool {
 }
 
 // Close poisons the connection with ErrConnClosed: pending calls fail, the
-// socket closes, and both goroutines exit. Idempotent.
+// socket closes, and the reader exits. Idempotent.
 func (m *MuxConn) Close() { m.fail(ErrConnClosed) }
 
 // err returns the terminal failure (nil while healthy).
@@ -411,13 +188,15 @@ func (m *MuxConn) Call(msgType uint8, payload []byte) ([]byte, error) {
 }
 
 // CallContext issues one logical call over the shared socket: it acquires an
-// in-flight window slot, queues the request frame, and waits for the
+// in-flight window slot, writes the request frame, and waits for the
 // matching response. The payload must not be mutated until the call returns.
 // Application errors surface as *RemoteError and leave the connection
-// usable. Cancelling the context abandons the call — the response, when it
-// arrives, is discarded — and also leaves the connection usable. Exceeding
-// the configured call timeout poisons the connection, as the server is
-// presumed hung mid-stream.
+// usable. Cancelling the context abandons the call and also leaves the
+// connection usable: before the write, nothing is sent; after it, the
+// response is discarded when it arrives. The configured call timeout and
+// the context's deadline both bound the write; a write cut by either, or a
+// response later than the call timeout, poisons the connection, as the
+// server is presumed hung mid-stream.
 func (m *MuxConn) CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -443,19 +222,39 @@ func (m *MuxConn) CallContext(ctx context.Context, msgType uint8, payload []byte
 	m.pending[id] = ch
 	m.mu.Unlock()
 
-	select {
-	case m.writeCh <- muxRequest{id: id, msgType: msgType, payload: payload}:
-	case <-ctx.Done():
+	var callDeadline, writeDeadline time.Time
+	if m.timeout > 0 {
+		callDeadline = time.Now().Add(m.timeout)
+		writeDeadline = callDeadline
+	}
+	ctxDeadline, hasCtxDeadline := ctx.Deadline()
+	if hasCtxDeadline && (writeDeadline.IsZero() || ctxDeadline.Before(writeDeadline)) {
+		writeDeadline = ctxDeadline
+	}
+	if !m.w.lock(ctx.Done()) {
 		m.abandon(id)
 		return nil, ctx.Err()
-	case <-m.done:
-		m.abandon(id)
+	}
+	if err := m.w.send(writeDeadline, id, msgType, payload); err != nil {
+		// The frame may be cut mid-stream: poison. A write cut by its
+		// deadline is a call timeout, or the context's expiry when the
+		// context's deadline was the earlier one.
+		var nerr net.Error
+		switch {
+		case !errors.As(err, &nerr) || !nerr.Timeout():
+			err = fmt.Errorf("rpcnet: write: %w", err)
+		case writeDeadline.Equal(callDeadline):
+			err = &errCallTimeout{d: m.timeout}
+		default:
+			err = fmt.Errorf("%w (%v)", context.DeadlineExceeded, err)
+		}
+		m.fail(err)
 		return nil, m.err()
 	}
 
 	var timeoutC <-chan time.Time
 	if m.timeout > 0 {
-		t := time.NewTimer(m.timeout)
+		t := time.NewTimer(time.Until(callDeadline))
 		defer t.Stop()
 		timeoutC = t.C
 	}
@@ -487,9 +286,8 @@ func (m *MuxConn) abandon(id uint64) {
 }
 
 // MuxClient keeps one multiplexed connection to a server, redialing
-// transparently after the connection is poisoned — the mux counterpart of a
-// Pool, except that concurrency shares the single socket's in-flight window
-// instead of checking out sockets.
+// transparently after the connection is poisoned. Concurrent calls share
+// the single socket's in-flight window.
 type MuxClient struct {
 	addr string
 	opts MuxOptions
@@ -515,7 +313,7 @@ func (c *MuxClient) current() (*MuxConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrPoolClosed
+		return nil, ErrConnClosed
 	}
 	if c.conn != nil && !c.conn.Broken() {
 		return c.conn, nil
@@ -543,7 +341,8 @@ func (c *MuxClient) CallContext(ctx context.Context, msgType uint8, payload []by
 	return conn.CallContext(ctx, msgType, payload)
 }
 
-// Close closes the live connection and fails subsequent calls. Idempotent.
+// Close closes the live connection and fails subsequent calls with
+// ErrConnClosed. Idempotent.
 func (c *MuxClient) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

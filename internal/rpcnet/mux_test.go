@@ -3,6 +3,7 @@ package rpcnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -140,8 +141,7 @@ func TestMuxRemoteErrorKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestMuxCancellationDoesNotPoison pins the mux protocol's headline
-// improvement over the classic client: abandoning one call leaves the
+// TestMuxCancellationDoesNotPoison pins that abandoning one call leaves the
 // connection serving every other call, because the late response is simply
 // discarded by request ID.
 func TestMuxCancellationDoesNotPoison(t *testing.T) {
@@ -288,33 +288,8 @@ func TestMuxClientCloseIsTerminal(t *testing.T) {
 	}
 	c.Close()
 	c.Close() // idempotent
-	if _, err := c.Call(1, nil); err == nil {
-		t.Error("call after close succeeded")
-	}
-}
-
-// TestClassicAndMuxShareOnePort pins the protocol negotiation: the same
-// server socket serves an old-style client and a mux client concurrently.
-func TestClassicAndMuxShareOnePort(t *testing.T) {
-	s := muxEchoServer(t)
-	classic, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer classic.Close()
-	mux, err := DialMux(s.Addr(), MuxOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mux.Close()
-	for i := 0; i < 20; i++ {
-		msg := []byte(fmt.Sprintf("interleaved-%d", i))
-		if resp, err := classic.Call(1, msg); err != nil || !bytes.Equal(resp, msg) {
-			t.Fatalf("classic call %d: %q, %v", i, resp, err)
-		}
-		if resp, err := mux.Call(1, msg); err != nil || !bytes.Equal(resp, msg) {
-			t.Fatalf("mux call %d: %q, %v", i, resp, err)
-		}
+	if _, err := c.Call(1, nil); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("call after close = %v, want ErrConnClosed", err)
 	}
 }
 
@@ -373,4 +348,77 @@ func TestMuxUnknownResponseIDPoisons(t *testing.T) {
 	if !m.Broken() {
 		t.Error("never-issued response ID did not poison the connection")
 	}
+}
+
+// TestServerRefusesNonMuxStream pins the handshake: a connection that does
+// not open with the magic is closed before any of it reaches the handler —
+// here a legacy length prefix declaring a MaxMessageBytes frame, which must
+// not make the server allocate or wait for that body.
+func TestServerRefusesNonMuxStream(t *testing.T) {
+	var handled atomic.Int64
+	s, err := Serve("127.0.0.1:0", func(uint8, []byte) ([]byte, error) {
+		handled.Add(1)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var prefix [5]byte
+	binary.BigEndian.PutUint32(prefix[:4], MaxMessageBytes)
+	prefix[4] = 1 // request type
+	if _, err := conn.Write(prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 16))
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatal("server kept a non-mux connection open")
+	}
+	if err == nil {
+		t.Fatalf("server answered a non-mux stream with %d bytes", n)
+	}
+	if got := handled.Load(); got != 0 {
+		t.Errorf("handler ran %d times for a non-mux stream", got)
+	}
+}
+
+// BenchmarkMuxCall times one echo call over loopback with the call timeout
+// the coordinator uses: serially (one caller, latency-bound) and from
+// parallel callers sharing the connection (coalescing-bound).
+func BenchmarkMuxCall(b *testing.B) {
+	s, err := Serve("127.0.0.1:0", func(_ uint8, p []byte) ([]byte, error) { return p, nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	payload := make([]byte, 64)
+	b.Run("serial", func(b *testing.B) {
+		c := NewMuxClient(s.Addr(), MuxOptions{CallTimeout: 10 * time.Second})
+		defer c.Close()
+		for b.Loop() {
+			if _, err := c.Call(1, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		c := NewMuxClient(s.Addr(), MuxOptions{CallTimeout: 10 * time.Second})
+		defer c.Close()
+		b.SetParallelism(4)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := c.Call(1, payload); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }

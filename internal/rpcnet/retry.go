@@ -37,10 +37,10 @@ func (p RetryPolicy) maxBackoff() time.Duration {
 	return p.MaxBackoff
 }
 
-// ContextCaller is the client surface CallRetry drives: Client, MuxConn,
-// MuxClient and Pool all provide it. A MuxClient is the natural fit — it
-// redials after poisoning, so the retry that follows a daemon restart lands
-// on a fresh connection.
+// ContextCaller is the client surface CallRetry drives: MuxConn and
+// MuxClient provide it. A MuxClient is the natural fit — it redials after
+// poisoning, so the retry that follows a daemon restart lands on a fresh
+// connection.
 type ContextCaller interface {
 	CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error)
 }

@@ -1,8 +1,10 @@
 package rpcnet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -152,35 +154,44 @@ func TestCallRetryAcrossDaemonRestart(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForInflight pins Drain's contract: it waits for requests
+// in flight, and zero active requests means every response was flushed —
+// so the close that follows never cuts an answer. Thirty-two responses
+// released at once queue on the connection's frame writer and coalesce,
+// so most of them leave in a flush some other handler performs.
 func TestDrainWaitsForInflight(t *testing.T) {
+	const calls = 32
 	release := make(chan struct{})
 	var started sync.WaitGroup
-	started.Add(1)
+	started.Add(calls)
 	var completed atomic.Int32
 	srv, err := Serve("127.0.0.1:0", func(msgType uint8, payload []byte) ([]byte, error) {
 		started.Done()
 		<-release
 		completed.Add(1)
-		return []byte("done"), nil
+		return payload, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := NewMuxClient(srv.Addr(), MuxOptions{})
 	defer client.Close()
-	callDone := make(chan error, 1)
-	go func() {
-		_, err := client.Call(1, nil)
-		callDone <- err
-	}()
-	started.Wait()
-	if got := srv.ActiveRequests(); got != 1 {
-		t.Fatalf("ActiveRequests = %d, want 1", got)
+	callErrs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			msg := []byte(fmt.Sprintf("call-%d", i))
+			resp, err := client.Call(1, msg)
+			if err == nil && !bytes.Equal(resp, msg) {
+				err = fmt.Errorf("got %q, want %q", resp, msg)
+			}
+			callErrs <- err
+		}()
 	}
-	// Release the handler just after the drain starts waiting.
+	started.Wait()
+	if got := srv.ActiveRequests(); got != calls {
+		t.Fatalf("ActiveRequests = %d, want %d", got, calls)
+	}
+	// Release the handlers just after the drain starts waiting.
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		close(release)
@@ -188,11 +199,13 @@ func TestDrainWaitsForInflight(t *testing.T) {
 	if err := srv.Drain(5 * time.Second); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if completed.Load() != 1 {
-		t.Fatal("drain returned before the in-flight handler completed")
+	if completed.Load() != calls {
+		t.Fatal("drain returned before the in-flight handlers completed")
 	}
-	if err := <-callDone; err != nil {
-		t.Fatalf("in-flight call failed across drain: %v", err)
+	for i := 0; i < calls; i++ {
+		if err := <-callErrs; err != nil {
+			t.Fatalf("in-flight call failed across drain: %v", err)
+		}
 	}
 	// New connections must be refused once draining began.
 	if _, err := net.DialTimeout("tcp", srv.Addr(), 100*time.Millisecond); err == nil {
@@ -210,12 +223,9 @@ func TestDrainTimesOutOnWedgedHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := NewMuxClient(srv.Addr(), MuxOptions{})
 	defer client.Close()
-	go client.Call(1, nil) //nolint:errcheck // the call is cut by Close
+	go client.Call(1, nil) //nolint:errcheck // the call is cut by the drain
 	for srv.ActiveRequests() == 0 {
 		time.Sleep(time.Millisecond)
 	}

@@ -1,21 +1,33 @@
-// Package rpcnet is the prototype's wire layer: a minimal length-prefixed
-// binary request/response protocol over TCP. The paper's prototype runs one
-// MDS per Linux node; here every MDS daemon listens on a loopback TCP port
-// and peers exchange real socket traffic, so message counts (Fig 15) are
-// exact and latencies (Fig 14) include genuine network stack costs.
+// Package rpcnet is the prototype's wire layer: a multiplexed,
+// length-prefixed binary request/response protocol over TCP. The paper's
+// prototype runs one MDS per Linux node; here every MDS daemon listens on a
+// loopback TCP port and peers exchange real socket traffic, so message
+// counts (Fig 15) are exact and latencies (Fig 14) include genuine network
+// stack costs.
 //
-// Wire format, big endian:
+// One socket carries many concurrent logical calls: every frame carries a
+// request ID, responses may return in any order, and the ID pairs them with
+// their calls. A client opens the connection with the 4-byte magic "GMX1";
+// the server closes any connection that opens with anything else. After the
+// magic, both directions carry frames, big endian:
 //
-//	request:  len uint32 | type uint8 | payload
-//	response: len uint32 | status uint8 | payload   (status 0 = OK,
-//	          1 = application error, payload = message)
+//	len uint32 | id uint64 | lead uint8 | payload
 //
-// where len covers everything after the length field.
+// where len covers everything after the length field (so len ≥ 9), lead is
+// the request type client→server and the status byte (0 = OK, 1 =
+// application error, payload = message) server→client, and len is capped
+// at MaxMessageBytes.
+//
+// Writes are caller-side: the goroutine issuing a call (client) or
+// finishing a handler (server) writes its own frame through the socket's
+// shared frameWriter, and the last writer in the queue flushes, so frames
+// written back to back leave in one syscall. Per connection the only
+// long-lived goroutines are the client's read loop and the server's read
+// loop; the server adds one goroutine per request in flight.
 package rpcnet
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,13 +42,15 @@ import (
 // paper scale, but the prototype's are far smaller).
 const MaxMessageBytes = 64 << 20
 
-// ErrServerClosed is returned by calls against a closed server.
-var ErrServerClosed = errors.New("rpcnet: server closed")
+// muxMagic opens every connection; it is the protocol's only handshake.
+const muxMagic = "GMX1"
+
+// muxFrameOverhead is the id+lead bytes covered by a frame's length.
+const muxFrameOverhead = 9
 
 // RemoteError is an application-level error returned by a server handler.
 // The request/response frames completed cleanly, so the connection remains
-// usable — pools keep the connection alive after one of these, unlike
-// transport errors (timeouts, resets), which poison it.
+// usable, unlike transport errors (timeouts, resets), which poison it.
 type RemoteError struct {
 	// Msg is the handler's error text as sent on the wire.
 	Msg string
@@ -56,8 +70,9 @@ type Server struct {
 	ln      net.Listener
 	handler Handler
 
-	// active counts handler invocations in flight, across both protocols;
-	// Drain waits on it so a shutdown never cuts a request mid-execution.
+	// active counts requests in flight, from dispatch until their response
+	// frame is flushed; Drain waits on it so a shutdown never cuts a
+	// request mid-execution or leaves its answer in a buffer.
 	active atomic.Int64
 
 	mu     sync.Mutex
@@ -104,6 +119,17 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// muxServerConcurrency bounds the handler goroutines running per
+// connection; requests beyond it queue in the read loop, applying
+// backpressure through TCP.
+const muxServerConcurrency = 64
+
+// serveConn serves one connection: after the magic, the read loop
+// dispatches each request frame to a handler goroutine (bounded by
+// muxServerConcurrency), and each handler writes its own response — out of
+// order when handlers finish out of order — through the connection's
+// frameWriter. A connection that does not open with the magic is closed
+// before any byte of it reaches the handler.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -113,47 +139,49 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	// One port, two protocols: a mux client opens with a 4-byte magic that
-	// can never be a legal classic length prefix, so the first bytes decide
-	// which framing this connection speaks.
-	if magic, err := br.Peek(len(muxMagic)); err == nil && string(magic) == muxMagic {
-		br.Discard(len(muxMagic))
-		s.serveMuxConn(conn, br)
+	var magic [len(muxMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != muxMagic {
 		return
 	}
-	bw := bufio.NewWriter(conn)
+	// A request's active reference is released by whichever writer
+	// flushes its response (or abandons it on a broken connection), so
+	// Drain's zero-active condition means every answer left the buffer.
+	w := newFrameWriter(conn, func(frames int) { s.active.Add(-int64(frames)) })
+	sem := make(chan struct{}, muxServerConcurrency)
+	var wg sync.WaitGroup
 	for {
-		msgType, payload, err := readFrame(br)
+		id, msgType, payload, err := readMuxFrame(br)
 		if err != nil {
-			return // connection closed or malformed stream
+			break // connection closed or malformed stream
 		}
-		// The request stays "active" until its response is flushed, so a
-		// Drain that sees zero active requests knows every accepted call
-		// got its answer, not just its handler run.
+		sem <- struct{}{}
 		s.active.Add(1)
-		resp, herr := s.handler(msgType, payload)
-		status := uint8(0)
-		if herr != nil {
-			status = 1
-			resp = []byte(herr.Error())
-		}
-		werr := writeFrame(bw, status, resp)
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		s.active.Add(-1)
-		if werr != nil {
-			return
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			resp, herr := s.handler(msgType, payload)
+			status := uint8(0)
+			if herr != nil {
+				status = 1
+				resp = []byte(herr.Error())
+			}
+			w.lock(nil)
+			if w.send(time.Time{}, id, status, resp) != nil {
+				conn.Close() // ends the read loop; later responses are abandoned
+			}
+		}()
 	}
+	wg.Wait()
 }
 
-// ActiveRequests returns the number of handler invocations in flight.
+// ActiveRequests returns the number of requests in flight: dispatched to
+// the handler and not yet answered on the wire.
 func (s *Server) ActiveRequests() int64 { return s.active.Load() }
 
 // Drain shuts the server down without cutting requests mid-execution: it
 // stops accepting new connections, waits up to timeout for every in-flight
-// request (handler plus response write) to finish, then closes. Requests
+// request (handler plus response flush) to finish, then closes. Requests
 // that arrive on existing connections while draining still execute; the
 // bound covers them too. timeout ≤ 0 closes immediately.
 //
@@ -198,188 +226,68 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// readFrame reads one frame: the leading byte after the length prefix is
-// returned separately (request type or response status).
-func readFrame(r io.Reader) (uint8, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n < 1 || n > MaxMessageBytes {
-		return 0, nil, fmt.Errorf("rpcnet: frame length %d out of range", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return body[0], body[1:], nil
+// errPayloadTooBig reports an oversized outbound payload. A value-typed
+// error keeps the size check on the frame-write hot path free of fmt calls:
+// the message is formatted only if a caller reads it, and the interface
+// boxing happens on the failure return, never on the success path.
+type errPayloadTooBig int
+
+func (e errPayloadTooBig) Error() string {
+	return fmt.Sprintf("rpcnet: payload %d bytes exceeds limit", int(e))
 }
 
-// writeFrame writes one frame with the given lead byte.
-func writeFrame(w io.Writer, lead uint8, payload []byte) error {
-	if len(payload)+1 > MaxMessageBytes {
-		return fmt.Errorf("rpcnet: payload %d bytes exceeds limit", len(payload))
+// writeMuxFrame appends one frame to w.
+//
+//ghbavet:hotpath
+func writeMuxFrame(w io.Writer, id uint64, lead uint8, payload []byte) error {
+	if len(payload)+muxFrameOverhead > MaxMessageBytes {
+		return errPayloadTooBig(len(payload))
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)+1))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{lead}); err != nil {
+	var hdr [4 + muxFrameOverhead]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+muxFrameOverhead))
+	binary.BigEndian.PutUint64(hdr[4:12], id)
+	hdr[12] = lead
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// Client is a synchronous RPC client over one TCP connection. Calls are
-// serialized by a mutex; use a Pool (or one client per worker) for
-// parallelism. A transport error — timeout, reset, short read — leaves the
-// frame boundary unknown, so it poisons the connection: the client closes
-// it and every later call fails fast. Application errors (RemoteError) are
-// clean frames and leave the connection usable.
-type Client struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	timeout time.Duration
-}
-
-// Dial connects to a server with no call deadline.
-func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 0, 0)
-}
-
-// DialTimeout connects with a bound on the dial itself and a per-call
-// deadline covering each request/response round trip. Zero disables either
-// bound. A call that exceeds callTimeout returns a net.Error whose
-// Timeout() is true, and the connection is closed: a hung daemon costs one
-// failed call, never a wedged client.
-func DialTimeout(addr string, dialTimeout, callTimeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("rpcnet: dial %s: %w", addr, err)
+// readMuxFrame reads one frame. The payload buffer grows as bytes actually
+// arrive (1 MiB steps), so a malicious length prefix cannot force a
+// MaxMessageBytes allocation out of a short stream.
+func readMuxFrame(r io.Reader) (id uint64, lead uint8, payload []byte, err error) {
+	var hdr [4 + muxFrameOverhead]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err
 	}
-	return &Client{
-		conn:    conn,
-		br:      bufio.NewReader(conn),
-		bw:      bufio.NewWriter(conn),
-		timeout: callTimeout,
-	}, nil
-}
-
-// Call sends one request and waits for its response. An application error
-// from the handler is returned as a *RemoteError with the server's message;
-// any other error means the connection is now closed.
-func (c *Client) Call(msgType uint8, payload []byte) ([]byte, error) {
-	return c.CallContext(context.Background(), msgType, payload)
-}
-
-// CallContext is Call with per-call cancellation and deadline control. The
-// effective deadline is the earlier of the client's configured call timeout
-// and the context's deadline; cancelling the context interrupts an in-flight
-// round trip. Because interruption leaves the frame boundary unknown, a
-// cancelled or expired call poisons the connection like any transport error,
-// and the returned error wraps ctx.Err() so callers can test it with
-// errors.Is(err, context.Canceled / context.DeadlineExceeded).
-func (c *Client) CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, ErrServerClosed
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n < muxFrameOverhead || n > MaxMessageBytes {
+		return 0, 0, nil, fmt.Errorf("rpcnet: mux frame length %d out of range", n)
 	}
-	if err := ctx.Err(); err != nil {
-		// Nothing was written: the connection is still clean, fail fast.
-		return nil, err
-	}
-	var deadline time.Time
-	ctxDeadline := false
-	if c.timeout > 0 {
-		deadline = time.Now().Add(c.timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-		ctxDeadline = true
-	}
-	// A zero deadline clears any bound left by a previous call.
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		return nil, c.poisonLocked(fmt.Errorf("rpcnet: deadline: %w", err))
-	}
-	// Watch for cancellation: an immediate past deadline interrupts the
-	// blocked read/write. The conn handle is captured because poisonLocked
-	// may nil out c.conn while the watcher is live; net.Conn is safe for
-	// concurrent SetDeadline, and setting one on a closed conn only errors.
-	if done := ctx.Done(); done != nil {
-		conn := c.conn
-		stop := make(chan struct{})
-		watched := make(chan struct{})
-		go func() {
-			defer close(watched)
-			select {
-			case <-done:
-				conn.SetDeadline(time.Unix(1, 0))
-			case <-stop:
-			}
-		}()
-		defer func() { close(stop); <-watched }()
-	}
-	ctxErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("%w (%v)", cerr, err)
+	id = binary.BigEndian.Uint64(hdr[4:12])
+	lead = hdr[12]
+	body := int(n) - muxFrameOverhead
+	const chunk = 1 << 20
+	if body <= chunk {
+		payload = make([]byte, body)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return 0, 0, nil, err
 		}
-		// The connection deadline came from the context and fired a beat
-		// before the context's own timer flipped: still the context's
-		// deadline, report it as such.
-		var nerr net.Error
-		if ctxDeadline && errors.As(err, &nerr) && nerr.Timeout() {
-			return fmt.Errorf("%w (%v)", context.DeadlineExceeded, err)
+		return id, lead, payload, nil
+	}
+	payload = make([]byte, 0, chunk)
+	for len(payload) < body {
+		step := body - len(payload)
+		if step > chunk {
+			step = chunk
 		}
-		return err
+		off := len(payload)
+		payload = append(payload, make([]byte, step)...)
+		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+			return 0, 0, nil, err
+		}
 	}
-	if err := writeFrame(c.bw, msgType, payload); err != nil {
-		return nil, c.poisonLocked(ctxErr(fmt.Errorf("rpcnet: write: %w", err)))
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, c.poisonLocked(ctxErr(fmt.Errorf("rpcnet: flush: %w", err)))
-	}
-	status, resp, err := readFrame(c.br)
-	if err != nil {
-		return nil, c.poisonLocked(ctxErr(fmt.Errorf("rpcnet: read: %w", err)))
-	}
-	if status != 0 {
-		return nil, &RemoteError{Msg: string(resp)}
-	}
-	return resp, nil
-}
-
-// poisonLocked closes the connection after a transport error; the stream
-// position is unknown, so it can never carry another frame.
-func (c *Client) poisonLocked(err error) error {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	return err
-}
-
-// Broken reports whether the connection has been poisoned (by a transport
-// error, a timeout, or a context cancellation mid-call) or closed. A broken
-// client can never carry another call; pools use this to drop, rather than
-// retain, connections handed back after such a failure.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn == nil
-}
-
-// Close closes the connection; subsequent calls fail.
-func (c *Client) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
+	return id, lead, payload, nil
 }

@@ -7,28 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
-
-func echoServer(t *testing.T) *Server {
-	t.Helper()
-	s, err := Serve("127.0.0.1:0", func(msgType uint8, payload []byte) ([]byte, error) {
-		switch msgType {
-		case 1: // echo
-			return payload, nil
-		case 2: // fail
-			return nil, errors.New("boom")
-		case 3: // type+payload
-			return append([]byte{msgType}, payload...), nil
-		default:
-			return nil, fmt.Errorf("unknown type %d", msgType)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
-}
 
 func TestServeRejectsNilHandler(t *testing.T) {
 	if _, err := Serve("127.0.0.1:0", nil); err == nil {
@@ -37,11 +17,8 @@ func TestServeRejectsNilHandler(t *testing.T) {
 }
 
 func TestEchoRoundTrip(t *testing.T) {
-	s := echoServer(t)
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := muxEchoServer(t)
+	c := NewMuxClient(s.Addr(), MuxOptions{})
 	defer c.Close()
 	payload := []byte("/some/path with spaces and \x00 bytes")
 	resp, err := c.Call(1, payload)
@@ -54,11 +31,8 @@ func TestEchoRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPayload(t *testing.T) {
-	s := echoServer(t)
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := muxEchoServer(t)
+	c := NewMuxClient(s.Addr(), MuxOptions{})
 	defer c.Close()
 	resp, err := c.Call(1, nil)
 	if err != nil {
@@ -70,11 +44,8 @@ func TestEmptyPayload(t *testing.T) {
 }
 
 func TestApplicationError(t *testing.T) {
-	s := echoServer(t)
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := muxEchoServer(t)
+	c := NewMuxClient(s.Addr(), MuxOptions{})
 	defer c.Close()
 	if _, err := c.Call(2, nil); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("err = %v, want remote boom", err)
@@ -86,41 +57,42 @@ func TestApplicationError(t *testing.T) {
 }
 
 func TestSequentialCallsOnOneConnection(t *testing.T) {
-	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	s := muxEchoServer(t)
+	m, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer m.Close()
 	for i := 0; i < 200; i++ {
 		msg := []byte(fmt.Sprintf("msg-%d", i))
-		resp, err := c.Call(3, msg)
+		resp, err := m.Call(1, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp[0] != 3 || !bytes.Equal(resp[1:], msg) {
+		if !bytes.Equal(resp, msg) {
 			t.Fatalf("call %d response %q", i, resp)
 		}
 	}
 }
 
+// TestConcurrentClients runs one connection per worker against one server.
 func TestConcurrentClients(t *testing.T) {
-	s := echoServer(t)
+	s := muxEchoServer(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(s.Addr())
+			m, err := DialMux(s.Addr(), MuxOptions{})
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
+			defer m.Close()
 			for i := 0; i < 100; i++ {
 				msg := []byte(fmt.Sprintf("w%d-%d", w, i))
-				resp, err := c.Call(1, msg)
+				resp, err := m.Call(1, msg)
 				if err != nil {
 					errs <- err
 					return
@@ -140,11 +112,8 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestLargePayload(t *testing.T) {
-	s := echoServer(t)
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := muxEchoServer(t)
+	c := NewMuxClient(s.Addr(), MuxOptions{})
 	defer c.Close()
 	big := make([]byte, 1<<20) // 1 MB, filter-replica scale
 	for i := range big {
@@ -160,16 +129,16 @@ func TestLargePayload(t *testing.T) {
 }
 
 func TestCallAfterClientClose(t *testing.T) {
-	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	s := muxEchoServer(t)
+	m, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
-	if _, err := c.Call(1, nil); err == nil {
-		t.Error("call after close succeeded")
+	m.Close()
+	if _, err := m.Call(1, nil); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("call after close = %v, want ErrConnClosed", err)
 	}
-	c.Close() // double close is safe
+	m.Close() // double close is safe
 }
 
 func TestCallAfterServerClose(t *testing.T) {
@@ -177,20 +146,20 @@ func TestCallAfterServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(s.Addr())
+	m, err := DialMux(s.Addr(), MuxOptions{CallTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer m.Close()
 	s.Close()
 	s.Close() // idempotent
-	if _, err := c.Call(1, nil); err == nil {
+	if _, err := m.Call(1, nil); err == nil {
 		t.Error("call against closed server succeeded")
 	}
 }
 
 func TestDialUnreachable(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialMux("127.0.0.1:1", MuxOptions{}); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 }

@@ -18,7 +18,7 @@
 //     running after a decisive answer.
 //
 // The analyzer fires only in the below-the-boundary packages (proto,
-// rpcnet). Compatibility wrappers without a ctx parameter (Client.Call
+// rpcnet). Compatibility wrappers without a ctx parameter (MuxClient.Call
 // delegating to CallContext) are deliberate API boundary adapters and are
 // not flagged by rule 1 — they have no caller context to drop.
 package ctxflow

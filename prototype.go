@@ -32,10 +32,10 @@ type PrototypeConfig struct {
 	// multicasts immediately, matching the simulation's per-lookup L1
 	// learning.
 	ObserveBatch int
-	// Transport selects the wire protocol: "mux" (default when empty) for
-	// the multiplexed framed protocol — one shared socket per daemon,
-	// pipelined request-ID-tagged frames — or "classic" for the original
-	// call-per-connection protocol behind per-daemon pools.
+	// Transport names the wire protocol. There is one, the multiplexed
+	// framed protocol, so only "" and "mux" are accepted.
+	//
+	// Deprecated: leave it empty; it selects nothing.
 	Transport string
 	// DataDir, when non-empty, makes every daemon durable: MDS i
 	// write-ahead logs its mutations under DataDir/mds-<i> and compacts
@@ -66,7 +66,7 @@ type PrototypeConfig struct {
 
 // Prototype is the TCP Backend: N real MDS daemons on loopback ports (the
 // paper's Section 5 prototype), driven by a concurrent coordinator over
-// pooled connections. Lookups, creates and deletes are genuine socket
+// one multiplexed connection per daemon. Lookups, creates and deletes are genuine socket
 // traffic; latencies include the real network stack.
 type Prototype struct {
 	cluster *proto.Cluster
@@ -86,6 +86,9 @@ func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
 	default:
 		return nil, &ConfigError{Field: "Mode", Reason: fmt.Sprintf("want %q or %q, got %q", "ghba", "hba", cfg.Mode)}
 	}
+	if cfg.Transport != "" && cfg.Transport != "mux" {
+		return nil, &ConfigError{Field: "Transport", Reason: fmt.Sprintf("the only wire protocol is %q, got %q", "mux", cfg.Transport)}
+	}
 	cluster, err := proto.Start(proto.Options{
 		N:                    cfg.NumMDS,
 		M:                    cfg.groupSize(),
@@ -97,7 +100,6 @@ func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
 		CallTimeout:          cfg.CallTimeout,
 		ShipBatch:            cfg.ShipBatch,
 		ObserveBatch:         cfg.ObserveBatch,
-		Transport:            cfg.Transport,
 		DataDir:              cfg.DataDir,
 		WALSync:              cfg.WALSync,
 		WALSyncInterval:      cfg.WALSyncInterval,
@@ -222,9 +224,6 @@ func (p *Prototype) LookupBatch(ctx context.Context, rng *rand.Rand, paths []str
 	}
 	return out, nil
 }
-
-// Transport returns the wire protocol in use ("mux" or "classic").
-func (p *Prototype) Transport() string { return p.cluster.Transport() }
 
 // CreateAll bulk-loads paths directly into the daemons (unmeasured) and
 // refreshes every replica, like the simulation's populate path.
